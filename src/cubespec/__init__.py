@@ -49,11 +49,9 @@ from .constructions import (
 )
 from .trades import (
     AffineSubspace,
-    Face,
     TradePair,
     anf_degree,
     detect_affine,
-    enumerate_faces,
     face_sums_vanish,
     has_disjoint_support_basis,
     is_trade,
@@ -62,7 +60,6 @@ from .trades import (
     three_values_check,
 )
 from .search import (
-    CanonicalForm,
     SearchReport,
     canonical_form,
     equivalent,

@@ -63,22 +63,11 @@ def _add_band(sub):
     sub.add_argument("--j", type=int, required=True)
 
 
-def _read_json(args) -> dict:
-    if getattr(args, "inline", None) is not None:
-        text = args.inline
-    elif args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON input: {exc}") from None
-
-
-def _read_json_path(path: str):
-    if path == "-":
+def _read_json(path: str, inline: str | None = None):
+    """Parse inline JSON if given, else the file at path ('-' for stdin)."""
+    if inline is not None:
+        text = inline
+    elif path == "-":
         text = sys.stdin.read()
     else:
         with open(path, encoding="utf-8") as fh:
@@ -102,7 +91,7 @@ def _emit(args, payload) -> None:
 
 
 def _read_function(args):
-    return serialize.function_from_dict(_read_json(args))
+    return serialize.function_from_dict(_read_json(args.input, args.inline))
 
 
 def _parse_levels(text: str) -> list[int]:
@@ -154,7 +143,7 @@ def cmd_eigen_check(args) -> int:
 
 
 def cmd_verify_trade(args) -> int:
-    tp = serialize.trade_pair_from_dict(_read_json(args))
+    tp = serialize.trade_pair_from_dict(_read_json(args.input, args.inline))
     _emit(args, {"is_trade": is_trade(tp, args.t), "t": args.t})
     return EXIT_OK
 
@@ -165,10 +154,8 @@ def cmd_anf_degree(args) -> int:
 
 
 def cmd_detect_affine(args) -> int:
-    payload = _read_json(args)
-    n = payload["n"]
-    vertices = serialize.vertex_set_from_list(payload["vertices"], n)
-    sub = detect_affine(vertices, n)
+    n, vertices = serialize.fields(_read_json(args.input, args.inline), n=int, vertices=list)
+    sub = detect_affine(serialize.vertex_set_from_list(vertices, n), n)
     if sub is None:
         _emit(args, {"affine": False})
     else:
@@ -180,7 +167,7 @@ def cmd_detect_affine(args) -> int:
 
 
 def cmd_split_subspace(args) -> int:
-    sub = serialize.affine_subspace_from_dict(_read_json(args))
+    sub = serialize.affine_subspace_from_dict(_read_json(args.input, args.inline))
     tp = split_subspace(sub)
     out = serialize.trade_pair_to_dict(tp)
     out["t"] = sub.dimension - 1
@@ -194,7 +181,6 @@ def cmd_min_support(args) -> int:
             args.n,
             _parse_levels(args.exact_spectrum),
             unsafe=args.unsafe_n,
-            jobs=args.jobs,
         )
     else:
         if args.i is None or args.j is None:
@@ -205,14 +191,13 @@ def cmd_min_support(args) -> int:
 
 
 def cmd_canonical(args) -> int:
-    cf = canonical_form(_read_function(args))
-    _emit(args, serialize.canonical_form_to_dict(cf))
+    _emit(args, serialize.function_to_dict(canonical_form(_read_function(args))))
     return EXIT_OK
 
 
 def cmd_equivalent(args) -> int:
-    f = serialize.function_from_dict(_read_json_path(args.first))
-    g = serialize.function_from_dict(_read_json_path(args.second))
+    f = serialize.function_from_dict(_read_json(args.first))
+    g = serialize.function_from_dict(_read_json(args.second))
     _emit(args, {"equivalent": equivalent(f, g)})
     return EXIT_OK
 
@@ -353,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int)
     p.add_argument("--exact-spectrum", help="comma-separated levels, e.g. 0,3")
     p.add_argument("--unsafe-n", action="store_true", help="allow n beyond the exhaustive limit")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument(
+        "--jobs", type=int, default=_default_jobs(),
+        help="worker processes for band scans; --exact-spectrum always runs sequentially",
+    )
     p.add_argument("--timing", action="store_true", help="include elapsed seconds in the report")
     _add_io(p, inputs=0)
     p.set_defaults(handler=cmd_min_support)

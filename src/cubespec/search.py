@@ -80,58 +80,73 @@ def _reduce_column(col, basis):
     return None  # unreachable
 
 
-def _scan_branch(cols, nvert, second, cap):
-    """DFS over supports {0, second, ...} extended with increasing codes.
+def _dfs(cols, supp, basis, cap, on_dependent):
+    """Depth-first scan of the extensions of supp by larger vertex codes.
 
-    Returns (found, nodes, best) where found maps size -> supports; the
-    collection is complete for every size <= best, and best never exceeds
-    the incoming cap.
+    basis holds the reduced columns of supp.  Each extension counts as one
+    node; a dependent one is handed to on_dependent(support, bound), which
+    returns the new size bound.  The scan descends only through supports
+    still below the bound, dependent ones included.  Returns (nodes, bound).
     """
-    found: dict[int, list[tuple[int, ...]]] = {}
-    best = cap
+    nvert = len(cols)
     nodes = 0
-    basis = [_reduce_column(cols[0], [])]  # the all-ones column, never dependent
+    bound = cap
 
-    def visit(supp, last):
-        nonlocal best, nodes
+    def visit(supp):
+        nonlocal nodes, bound
         child = len(supp) + 1
-        for e in range(last + 1, nvert):
-            if child > best:
+        for e in range(supp[-1] + 1, nvert):
+            if child > bound:
                 return
             nodes += 1
             red = _reduce_column(cols[e], basis)
+            ns = supp + (e,)
             if red is None:
-                if child < best:
-                    best = child
-                found.setdefault(child, []).append(supp + (e,))
-            elif child < best:
+                bound = on_dependent(ns, bound)
+                if child < bound:
+                    visit(ns)
+            elif child < bound:
                 basis.append(red)
-                visit(supp + (e,), e)
+                visit(ns)
                 basis.pop()
 
-    nodes += 1
-    if best >= 2:
-        red = _reduce_column(cols[second], basis)
-        if red is None:
-            best = 2
-            found[2] = [(0, second)]
-        elif best > 2:
-            basis.append(red)
-            visit((0, second), second)
-    return found, nodes, best
+    visit(supp)
+    return nodes, bound
+
+
+def _band_branch(cols, second, cap):
+    """Minimal dependent supports {0, second, ...} below the size cap.
+
+    Returns (found, nodes, bound) where found maps size -> supports; the
+    collection is complete for every size <= bound, and bound never
+    exceeds cap.  A dependent support is recorded and never extended,
+    since recording lowers the bound to its size.
+    """
+    found: dict[int, list[tuple[int, ...]]] = {}
+
+    def record(supp, bound):
+        found.setdefault(len(supp), []).append(supp)
+        return len(supp)
+
+    basis = [_reduce_column(cols[0], [])]  # the all-ones column, never dependent
+    red = _reduce_column(cols[second], basis)
+    if red is None:
+        return found, 1, record((0, second), cap)
+    basis.append(red)
+    nodes, bound = _dfs(cols, (0, second), basis, cap, record)
+    return found, nodes + 1, bound
 
 
 _POOL_STATE: dict = {}
 
 
-def _pool_init(cols, nvert):
+def _pool_init(cols):
     _POOL_STATE["cols"] = cols
-    _POOL_STATE["nvert"] = nvert
 
 
 def _pool_branch(task):
     second, cap = task
-    return _scan_branch(_POOL_STATE["cols"], _POOL_STATE["nvert"], second, cap)
+    return _band_branch(_POOL_STATE["cols"], second, cap)
 
 
 def _colex_key(supp):
@@ -167,9 +182,9 @@ def _scan_supports(n, rows, jobs=1):
     seconds = list(range(1, nvert))
     if jobs <= 1:
         for second in seconds:
-            merge(_scan_branch(cols, nvert, second, best))
+            merge(_band_branch(cols, second, best))
     else:
-        with Pool(jobs, _pool_init, (cols, nvert)) as pool:
+        with Pool(jobs, _pool_init, (cols,)) as pool:
             for at in range(0, len(seconds), jobs):
                 batch = seconds[at:at + jobs]
                 for res in pool.map(_pool_branch, [(s, best) for s in batch]):
@@ -181,43 +196,26 @@ def _scan_supports(n, rows, jobs=1):
 def _kernel_basis(rows, supp):
     """Kernel of the character constraint matrix over the support columns.
 
-    Exact Fraction elimination; returns one tuple per kernel basis vector,
-    entries aligned with the support positions.
+    Each column, extended by a unit vector that tracks how it gets
+    combined, is reduced by _reduce_column against the independent columns
+    before it.  When its constraint part reduces to zero, the extension is
+    a kernel vector; scaled to 1 at its own column it is the reduced-echelon
+    kernel vector of that free column.  Returns one tuple of Fractions per
+    kernel basis vector, entries aligned with the support positions.
     """
-    ncols = len(supp)
-    m = [
-        [Fraction(-1 if (u & x).bit_count() & 1 else 1) for x in supp]
-        for u in rows
-    ]
-    nrows = len(m)
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                c = m[r][col]
-                m[r] = [a - c * b for a, b in zip(m[r], m[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    pivot_cols = {c for _, c in pivots}
+    m = len(rows)
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, c in pivots:
-            vec[c] = -m[r][fc]
-        basis.append(tuple(vec))
-    return basis
+    kernel = []
+    for k, x in enumerate(supp):
+        col = [-1 if (u & x).bit_count() & 1 else 1 for u in rows] + [0] * len(supp)
+        col[m + k] = 1
+        pivot, v = _reduce_column(col, basis)
+        if pivot < m:
+            basis.append((pivot, v))
+        else:
+            lead = v[m + k]
+            kernel.append(tuple(Fraction(a, lead) for a in v[m:]))
+    return kernel
 
 
 def _place(n, supp, coeffs) -> VertexFunction:
@@ -241,17 +239,6 @@ def _normalize_witness(n, supp, coeffs) -> VertexFunction:
     if lead < 0:
         ints = [-x for x in ints]
     return _place(n, supp, ints)
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Distinguished value table representing one equivalence class."""
-
-    n: int
-    values: tuple[Fraction, ...]
-
-    def to_function(self) -> VertexFunction:
-        return VertexFunction(self.n, self.values)
 
 
 def _candidate_less(pairs, c, best):
@@ -281,7 +268,7 @@ def _candidate_less(pairs, c, best):
     return False
 
 
-def canonical_form(f: VertexFunction) -> CanonicalForm:
+def canonical_form(f: VertexFunction) -> VertexFunction:
     """Class representative under automorphisms of H(n) and scaling.
 
     Sweeps the whole group of coordinate permutations composed with
@@ -313,7 +300,7 @@ def canonical_form(f: VertexFunction) -> CanonicalForm:
     vals = [Fraction(0)] * nvert
     for idx, val in best:
         vals[idx] = val
-    return CanonicalForm(n, tuple(vals))
+    return VertexFunction(n, tuple(vals))
 
 
 def equivalent(f: VertexFunction, g: VertexFunction) -> bool:
@@ -342,7 +329,7 @@ class SearchReport:
     levels: tuple[int, ...] | None = None
     min_support: int | None = None
     witness: VertexFunction | None = None
-    classes_found: tuple[CanonicalForm, ...] = ()
+    classes_found: tuple[VertexFunction, ...] = ()
     matched_blueprints: tuple[tuple[Blueprint, int | None], ...] = ()
     ok: bool = True
     notes: tuple[str, ...] = ()
@@ -408,7 +395,7 @@ def _exact_combination(n, supp, kernel, target):
 
 
 def min_support_exact_spectrum(
-    n: int, levels, *, unsafe: bool = False, max_size: int | None = None, jobs: int = 1
+    n: int, levels, *, unsafe: bool = False, max_size: int | None = None
 ) -> SearchReport:
     """Minimum support over functions whose spectrum is exactly `levels`.
 
@@ -416,7 +403,7 @@ def min_support_exact_spectrum(
     allowed coefficient levels, but a feasible support must additionally
     admit a kernel combination hitting every level.  Exactness is not
     inherited by subsets, so the scan descends through dependent supports
-    as well; it runs sequentially (jobs accepted for interface parity).
+    as well; it runs sequentially.
 
     With max_size set, reports no witness (min_support None) when nothing
     achieves exactness within the cap.
@@ -443,39 +430,20 @@ def min_support_exact_spectrum(
         )
 
     cols = _columns(n, rows)
-    best = cap
     results: dict[int, list[VertexFunction]] = {}
-    nodes = 1  # the root support {0}
 
-    def handle(supp):
-        nonlocal best
+    def handle(supp, bound):
         w = _exact_combination(n, supp, _kernel_basis(rows, supp), target)
         if w is None:
-            return
+            return bound
         wsize = support_size(w)
-        if wsize <= best:
-            best = wsize
-            results.setdefault(wsize, []).append(w)
+        if wsize > bound:
+            return bound
+        results.setdefault(wsize, []).append(w)
+        return wsize
 
-    def visit(supp, last, basis):
-        nonlocal nodes
-        child = len(supp) + 1
-        for e in range(last + 1, nvert):
-            if child > best:
-                return
-            nodes += 1
-            red = _reduce_column(cols[e], basis)
-            ns = supp + (e,)
-            if red is None:
-                handle(ns)
-                if child < best:
-                    visit(ns, e, basis)
-            elif child < best:
-                basis.append(red)
-                visit(ns, e, basis)
-                basis.pop()
-
-    visit((0,), 0, [_reduce_column(cols[0], [])])
+    nodes, _ = _dfs(cols, (0,), [_reduce_column(cols[0], [])], cap, handle)
+    nodes += 1  # the root support {0}
 
     if not results:
         return SearchReport(
@@ -524,7 +492,7 @@ def verify_classification(
     if size != expected:
         ok = False
         notes.append(f"minimum support {size} differs from the sharp bound {expected}")
-    canon_map: dict[tuple, CanonicalForm] = {}
+    canon_map: dict[tuple, VertexFunction] = {}
     first_witness = None
     for supp in supports:
         kernel = _kernel_basis(rows, supp)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .constructions import Blueprint
 from .functions import VertexFunction
-from .search import CanonicalForm, SearchReport
+from .search import SearchReport
 from .spectral import SpectrumSet
 from .trades import AffineSubspace, TradePair
 
@@ -36,15 +36,27 @@ def function_to_dict(f: VertexFunction) -> dict:
     return {"n": f.n, "values": [fraction_to_str(v) for v in f.values]}
 
 
+def fields(payload, **types) -> list:
+    """The named fields of a JSON object, in keyword order.
+
+    Raises ValueError when payload is not an object, a field is missing,
+    or a field is not of its JSON type; a bool is not accepted as an int.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object with {sorted(types)}, got {type(payload).__name__}")
+    out = []
+    for key, kind in types.items():
+        if key not in payload:
+            raise ValueError(f"payload needs {key!r}")
+        value = payload[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ValueError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
+        out.append(value)
+    return out
+
+
 def function_from_dict(payload: dict) -> VertexFunction:
-    if not isinstance(payload, dict) or "n" not in payload or "values" not in payload:
-        raise ValueError("function payload needs 'n' and 'values'")
-    n = payload["n"]
-    if not isinstance(n, int):
-        raise ValueError(f"'n' must be an integer, got {n!r}")
-    values = payload["values"]
-    if not isinstance(values, list):
-        raise ValueError("'values' must be a list of rational strings")
+    n, values = fields(payload, n=int, values=list)
     return VertexFunction(n, tuple(fraction_from_str(v) for v in values))
 
 
@@ -100,12 +112,8 @@ def trade_pair_to_dict(tp: TradePair) -> dict:
 
 
 def trade_pair_from_dict(payload: dict) -> TradePair:
-    n = payload["n"]
-    return TradePair(
-        vertex_set_from_list(payload["t0"], n),
-        vertex_set_from_list(payload["t1"], n),
-        n,
-    )
+    n, t0, t1 = fields(payload, n=int, t0=list, t1=list)
+    return TradePair(vertex_set_from_list(t0, n), vertex_set_from_list(t1, n), n)
 
 
 def affine_subspace_to_dict(sub: AffineSubspace) -> dict:
@@ -118,16 +126,12 @@ def affine_subspace_to_dict(sub: AffineSubspace) -> dict:
 
 
 def affine_subspace_from_dict(payload: dict) -> AffineSubspace:
-    n = payload["n"]
+    n, translation, basis = fields(payload, n=int, translation=str, basis=list)
     return AffineSubspace(
         n,
-        vertex_from_bitstring(payload["translation"], n),
-        tuple(vertex_from_bitstring(b, n) for b in payload["basis"]),
+        vertex_from_bitstring(translation, n),
+        tuple(vertex_from_bitstring(b, n) for b in basis),
     )
-
-
-def canonical_form_to_dict(cf: CanonicalForm) -> dict:
-    return {"n": cf.n, "values": [fraction_to_str(v) for v in cf.values]}
 
 
 def search_report_to_dict(report: SearchReport, *, with_timing: bool = False) -> dict:
@@ -138,7 +142,7 @@ def search_report_to_dict(report: SearchReport, *, with_timing: bool = False) ->
         "levels": list(report.levels) if report.levels is not None else None,
         "min_support": report.min_support,
         "witness": function_to_dict(report.witness) if report.witness is not None else None,
-        "classes_found": [canonical_form_to_dict(c) for c in report.classes_found],
+        "classes_found": [function_to_dict(c) for c in report.classes_found],
         "matched_blueprints": [
             {"blueprint": blueprint_to_dict(bp), "class_index": idx}
             for bp, idx in report.matched_blueprints

@@ -13,63 +13,27 @@ as an independently testable operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
-from .functions import VertexFunction, support, weight
+from .functions import VertexFunction, weight
 
 
-@dataclass(frozen=True)
-class Face:
-    """Subcube of H(n) fixing the given 1-based coordinates to bits.
+def _faces_balanced(n: int, weighted, t: int) -> bool:
+    """True iff every (n-t)-face sums the (code, weight) pairs to zero.
 
-    Member codes are generated on demand; a face with m fixed coordinates
-    contains 2^(n-m) vertices.
+    The face fixing the coordinates of a t-set P at given bits is
+    identified by x & mask(P), so one pass over the pairs per t-set
+    projects every pair onto its face and accumulates all 2^t face sums.
     """
-
-    n: int
-    fixed_positions: tuple[int, ...]
-    fixed_bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.fixed_positions) != len(self.fixed_bits):
-            raise ValueError("one bit per fixed position required")
-        if len(set(self.fixed_positions)) != len(self.fixed_positions):
-            raise ValueError(f"repeated fixed positions: {self.fixed_positions}")
-        if any(not 1 <= p <= self.n for p in self.fixed_positions):
-            raise ValueError(f"positions {self.fixed_positions} out of range 1..{self.n}")
-        if any(b not in (0, 1) for b in self.fixed_bits):
-            raise ValueError(f"bits must be 0/1, got {self.fixed_bits}")
-
-    @property
-    def dimension(self) -> int:
-        return self.n - len(self.fixed_positions)
-
-    def members(self):
-        """Yield the codes of the 2^(n-m) vertices in this face."""
-        base = 0
-        for p, b in zip(self.fixed_positions, self.fixed_bits):
-            base |= b << (p - 1)
-        free = [c for c in range(self.n) if (c + 1) not in self.fixed_positions]
-        for bits in range(1 << len(free)):
-            code = base
-            for idx, c in enumerate(free):
-                if bits >> idx & 1:
-                    code |= 1 << c
-            yield code
-
-    def contains(self, code: int) -> bool:
-        return all(code >> (p - 1) & 1 == b for p, b in zip(self.fixed_positions, self.fixed_bits))
-
-
-def enumerate_faces(n: int, m: int) -> list[Face]:
-    """All C(n, m) * 2^m faces of H(n) with m fixed coordinates."""
-    if not 0 <= m <= n:
-        raise ValueError(f"fixed-coordinate count {m} out of range 0..{n}")
-    faces = []
-    for positions in combinations(range(1, n + 1), m):
-        for bits in product((0, 1), repeat=m):
-            faces.append(Face(n, positions, bits))
-    return faces
+    for positions in combinations(range(n), t):
+        mask = sum(1 << c for c in positions)
+        sums = {}
+        for x, w in weighted:
+            key = x & mask
+            sums[key] = sums.get(key, 0) + w
+        if any(sums.values()):
+            return False
+    return True
 
 
 def face_sums_vanish(f: VertexFunction, i: int) -> bool:
@@ -80,10 +44,7 @@ def face_sums_vanish(f: VertexFunction, i: int) -> bool:
     """
     if not 1 <= i <= f.n:
         raise ValueError(f"level {i} out of range 1..{f.n}")
-    for face in enumerate_faces(f.n, i - 1):
-        if sum(f.values[x] for x in face.members()) != 0:
-            return False
-    return True
+    return _faces_balanced(f.n, [(x, v) for x, v in enumerate(f.values) if v], i - 1)
 
 
 @dataclass(frozen=True)
@@ -105,24 +66,11 @@ class TradePair:
 
 
 def is_trade(tp: TradePair, t: int) -> bool:
-    """Balance test: every (n-t)-face holds equally many of t0 and t1.
-
-    Counts are accumulated by projecting each element onto the t fixed
-    coordinates, which is equivalent to scanning the faces themselves.
-    """
+    """Balance test: every (n-t)-face holds equally many of t0 and t1."""
     if not 0 <= t <= tp.n:
         raise ValueError(f"trade parameter {t} out of range 0..{tp.n}")
-    for positions in combinations(range(tp.n), t):
-        counts: dict[int, int] = {}
-        for x in tp.t0:
-            key = sum((x >> c & 1) << idx for idx, c in enumerate(positions))
-            counts[key] = counts.get(key, 0) + 1
-        for x in tp.t1:
-            key = sum((x >> c & 1) << idx for idx, c in enumerate(positions))
-            counts[key] = counts.get(key, 0) - 1
-        if any(v != 0 for v in counts.values()):
-            return False
-    return True
+    weighted = [(x, 1) for x in tp.t0] + [(x, -1) for x in tp.t1]
+    return _faces_balanced(tp.n, weighted, t)
 
 
 def sign_split(f: VertexFunction) -> TradePair:
@@ -166,11 +114,23 @@ def anf_degree(indicator: VertexFunction) -> int:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """Affine subspace of Z_2^n as a translation plus an echelon basis."""
+    """Affine subspace of Z_2^n as a translation plus an echelon basis.
+
+    The basis is stored in the reduced echelon form of _rref_gf2, whatever
+    basis of the direction space it was given.
+    """
 
     n: int
     translation: int
     basis: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(not 0 <= x < 1 << self.n for x in (self.translation, *self.basis)):
+            raise ValueError(f"vertex code out of range for n={self.n}")
+        reduced = _rref_gf2(self.basis)
+        if len(reduced) != len(self.basis):
+            raise ValueError(f"affine basis {list(self.basis)} has a zero or dependent vector")
+        object.__setattr__(self, "basis", tuple(reduced))
 
     @property
     def dimension(self) -> int:
@@ -244,10 +204,6 @@ def split_subspace(sub: AffineSubspace) -> TradePair:
     if not has_disjoint_support_basis(sub):
         raise ValueError("split_subspace needs a disjoint-support basis")
     t0, t1 = set(), set()
-    for bits in range(1 << sub.dimension):
-        x = sub.translation
-        for idx, b in enumerate(sub.basis):
-            if bits >> idx & 1:
-                x ^= b
+    for bits, x in enumerate(sub.members()):
         (t1 if weight(bits) & 1 else t0).add(x)
     return TradePair(frozenset(t0), frozenset(t1), sub.n)

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from cubespec import phi, serialize, tensor
 from cubespec.cli import main
 
@@ -159,6 +161,20 @@ def test_bad_json_input_exits_with_contract_error(capsys):
     assert code == 1
     payload = json.loads(err)
     assert payload["kind"] == "contract"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-trade", "--t", "1", "--inline", "{}"),
+    ("detect-affine", "--inline", "[]"),
+    ("split-subspace", "--inline", '{"n": 2, "basis": ["10"]}'),
+    ("split-subspace", "--inline", '{"n": 2, "translation": "00", "basis": ["00"]}'),
+    ("spectrum", "--inline", '{"n": true, "values": ["1", "0"]}'),
+])
+def test_malformed_payload_exits_with_contract_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["kind"] == "contract"
 
 
 def test_demo_passes(capsys):

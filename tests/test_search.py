@@ -18,7 +18,8 @@ from cubespec import (
     tensor,
     verify_classification,
 )
-from oracles import naive_min_support
+from cubespec.search import _kernel_basis
+from oracles import fraction_rank, naive_min_support, sign
 
 
 class TestMinSupport:
@@ -60,6 +61,23 @@ class TestMinSupport:
         seq = min_support(3, 1, 2)
         par = min_support(3, 1, 2, jobs=2)
         assert (seq.min_support, seq.witness.values) == (par.min_support, par.witness.values)
+
+
+class TestKernelBasis:
+    def test_matches_fraction_rank_oracle(self, rng):
+        dims = set()
+        for _ in range(300):
+            n = rng.randrange(1, 5)
+            rows = rng.sample(range(1 << n), rng.randrange(0, (1 << n) + 1))
+            supp = tuple(sorted(rng.sample(range(1 << n), rng.randrange(1, (1 << n) + 1))))
+            matrix = [[sign(u, x) for x in supp] for u in rows]
+            kernel = _kernel_basis(rows, supp)
+            assert len(kernel) == len(supp) - fraction_rank(matrix)
+            assert fraction_rank(kernel) == len(kernel)
+            for vec in kernel:
+                assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+            dims.add(len(kernel))
+        assert 0 in dims and max(dims) >= 4
 
 
 class TestExactSpectrum:
@@ -122,7 +140,7 @@ class TestCanonicalForm:
 
     def test_idempotent(self):
         cf = canonical_form(tensor(phi(2), phi(2)))
-        assert canonical_form(cf.to_function()).values == cf.values
+        assert canonical_form(cf) == cf
 
     def test_distinct_blueprints_distinct_forms(self):
         a = canonical_form(build(Blueprint(LOWER, (), (2, 2), 0, 4)))

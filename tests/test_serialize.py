@@ -49,6 +49,10 @@ class TestFunctionFormat:
             serialize.function_from_dict({"n": 1, "values": ["1"]})
         with pytest.raises(ValueError):
             serialize.function_from_dict({"n": "1", "values": ["1", "0"]})
+        with pytest.raises(ValueError):
+            serialize.function_from_dict({"n": True, "values": ["1", "0"]})
+        with pytest.raises(ValueError):
+            serialize.function_from_dict(["1", "0"])
 
 
 class TestBitstrings:

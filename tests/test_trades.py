@@ -3,7 +3,6 @@ import pytest
 from cubespec import (
     AffineSubspace,
     Blueprint,
-    Face,
     LOWER,
     TradePair,
     anf_degree,
@@ -11,7 +10,6 @@ from cubespec import (
     character,
     constant_function,
     detect_affine,
-    enumerate_faces,
     face_sums_vanish,
     has_disjoint_support_basis,
     is_trade,
@@ -28,15 +26,16 @@ from cubespec import (
     zero_function,
 )
 from conftest import random_band_function
-from oracles import naive_anf_degree, naive_is_trade
+from oracles import faces, naive_anf_degree, naive_is_trade
 
 
 class TestFaces:
+    """The face-scan oracle that the face-sum tests are checked against."""
+
     def test_one_fixed_coordinate_on_the_square(self):
-        faces = enumerate_faces(2, 1)
-        assert len(faces) == 4
-        members = {frozenset(face.members()) for face in faces}
-        assert members == {
+        members = [frozenset(face) for face in faces(2, 1)]
+        assert len(members) == 4
+        assert set(members) == {
             frozenset({0b00, 0b10}),  # x1 = 0
             frozenset({0b01, 0b11}),  # x1 = 1
             frozenset({0b00, 0b01}),  # x2 = 0
@@ -44,19 +43,25 @@ class TestFaces:
         }
 
     def test_whole_cube_face(self):
-        faces = enumerate_faces(3, 0)
-        assert len(faces) == 1
-        assert set(faces[0].members()) == set(range(8))
+        whole = list(faces(3, 0))
+        assert len(whole) == 1
+        assert sorted(whole[0]) == list(range(8))
 
     def test_counts(self):
-        assert len(enumerate_faces(3, 2)) == 12
-        assert all(len(list(f.members())) == 2 for f in enumerate_faces(3, 2))
+        edges = list(faces(3, 2))
+        assert len(edges) == 12
+        assert all(len(face) == 2 for face in edges)
 
     def test_validation(self):
+        tp = TradePair(frozenset({0}), frozenset({7}), 3)
         with pytest.raises(ValueError):
-            enumerate_faces(3, 4)
+            is_trade(tp, 4)
         with pytest.raises(ValueError):
-            Face(2, (1, 1), (0, 0))
+            is_trade(tp, -1)
+        with pytest.raises(ValueError):
+            face_sums_vanish(character(3, 0b011), 0)
+        with pytest.raises(ValueError):
+            face_sums_vanish(character(3, 0b011), 4)
 
 
 class TestFaceSums:
@@ -76,6 +81,18 @@ class TestFaceSums:
             n = rng.randrange(1, 7)
             i = rng.randrange(1, n + 1)
             assert face_sums_vanish(random_band_function(rng, n, i, i), i)
+
+    def test_matches_face_scan_oracle(self, rng):
+        outcomes = set()
+        for _ in range(40):
+            n = rng.randrange(1, 5)
+            i = rng.randrange(1, n + 1)
+            lo = rng.randrange(0, n + 1)
+            f = random_band_function(rng, n, lo, rng.randrange(lo, n + 1))
+            expect = all(sum(f.values[x] for x in face) == 0 for face in faces(n, i - 1))
+            assert face_sums_vanish(f, i) == expect
+            outcomes.add(expect)
+        assert outcomes == {True, False}
 
 
 class TestIsTrade:
@@ -239,3 +256,23 @@ class TestSplitSubspace:
             split_subspace(AffineSubspace(4, 0, (0b0011, 0b0110)))
         with pytest.raises(ValueError):
             split_subspace(AffineSubspace(3, 1, ()))
+
+
+class TestAffineSubspace:
+    def test_basis_is_reduced_to_echelon_form(self):
+        # span{11, 10} is all of H(2); its echelon basis {01, 10} is disjoint
+        sub = AffineSubspace(2, 0, (0b11, 0b10))
+        assert sub.basis == (0b01, 0b10)
+        assert has_disjoint_support_basis(sub)
+        assert set(split_subspace(sub).t0) == {0b00, 0b11}
+
+    def test_zero_or_dependent_vectors_rejected(self):
+        for basis in ((0b00,), (0b01, 0b00), (0b011, 0b110, 0b101)):
+            with pytest.raises(ValueError, match="basis"):
+                AffineSubspace(3, 0, basis)
+
+    def test_codes_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            AffineSubspace(2, 4, ())
+        with pytest.raises(ValueError):
+            AffineSubspace(2, 0, (0b100,))
