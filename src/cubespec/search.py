@@ -161,7 +161,8 @@ def _scan_supports(n, rows, jobs=1):
     element are scanned by a process pool in fixed batches, so the result
     set is independent of scheduling; only the nodes_examined diagnostic
     depends on the jobs split, because pruning bounds propagate once per
-    batch instead of once per branch.
+    batch instead of once per branch.  jobs is capped at the 2^n - 1
+    branches: more workers would idle, and the batches stay the same.
     """
     nvert = 1 << n
     if not rows:
@@ -180,6 +181,7 @@ def _scan_supports(n, rows, jobs=1):
             found.setdefault(size, []).extend(supps)
 
     seconds = list(range(1, nvert))
+    jobs = min(jobs, len(seconds))
     if jobs <= 1:
         for second in seconds:
             merge(_band_branch(cols, second, best))

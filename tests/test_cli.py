@@ -1,16 +1,23 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from cubespec import phi, serialize, tensor
-from cubespec.cli import main
+from cubespec import phi, search, serialize, tensor
+from cubespec.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_contract_error(code, out, err):
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["kind"] == "contract"
 
 
 def write_function(tmp_path, name, f):
@@ -124,6 +131,12 @@ def test_min_support_exact_spectrum_flag(capsys):
     assert report["levels"] == [0, 3]
 
 
+@pytest.mark.parametrize("band", [("--i", "1", "--j", "2"), ("--i", "1"), ("--j", "2")])
+def test_min_support_rejects_band_with_exact_spectrum(capsys, band):
+    code, out, err = run(capsys, "min-support", "--n", "3", *band, "--exact-spectrum", "0,3")
+    assert_contract_error(code, out, err)
+
+
 def test_min_support_guard_rails(capsys):
     code, _, err = run(capsys, "min-support", "--n", "6", "--i", "2", "--j", "3")
     assert code == 1
@@ -156,6 +169,18 @@ def test_verify_classification_command(capsys):
     assert len(report["matched_blueprints"]) == 3
 
 
+def test_classification_mismatch_writes_report_then_exits_2(capsys, monkeypatch):
+    real = search.verify_classification
+    monkeypatch.setattr(search, "verify_classification",
+                        lambda *a, **kw: replace(real(*a, **kw), ok=False, notes=("forced",)))
+    code, out, err = run(capsys, "verify-classification", "--n", "2", "--i", "1", "--j", "1")
+    assert code == 2
+    assert json.loads(out)["ok"] is False
+    assert json.loads(err) == {
+        "error": "classification mismatch", "kind": "verification", "notes": ["forced"],
+    }
+
+
 def test_bad_json_input_exits_with_contract_error(capsys):
     code, _, err = run(capsys, "spectrum", "--inline", "{not json")
     assert code == 1
@@ -171,10 +196,53 @@ def test_bad_json_input_exits_with_contract_error(capsys):
     ("spectrum", "--inline", '{"n": true, "values": ["1", "0"]}'),
 ])
 def test_malformed_payload_exits_with_contract_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert "Traceback" not in err
-    assert json.loads(err)["kind"] == "contract"
+    assert_contract_error(*run(capsys, *argv))
+
+
+def _malformed_input_cases():
+    for cmd in COMMANDS:
+        if cmd.decode is not None:
+            for payload in ("[]", "{}", "{not json"):
+                yield pytest.param(cmd, payload, id=f"{cmd.name}:{payload}")
+
+
+@pytest.mark.parametrize("cmd,payload", _malformed_input_cases())
+def test_every_input_command_rejects_malformed_input(tmp_path, capsys, cmd, payload):
+    path = tmp_path / "input.json"
+    path.write_text(payload)
+    argv, inputs = [cmd.name], ["--inline", payload]
+    for flags, kwargs in cmd.args:
+        if kwargs.get("required"):
+            argv += [flags[0], "1"]
+        elif not flags[0].startswith("-"):  # input files instead of --inline
+            inputs = [str(path)] * kwargs["nargs"]
+    assert_contract_error(*run(capsys, *argv, *inputs))
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--bogus"),
+    ("min-support", "--n", "abc"),
+    ("equivalent",),
+    ("frobnicate",),
+    (),
+])
+def test_usage_error_exits_with_contract_error(capsys, argv):
+    assert_contract_error(*run(capsys, *argv))
+
+
+def test_malformed_jobs_environment_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CUBESPEC_JOBS", "many")
+    assert_contract_error(*run(capsys, "min-support", "--n", "2", "--i", "1", "--j", "1"))
+    code, out, _ = run(capsys, "min-support", "--n", "2", "--i", "1", "--j", "1", "--jobs", "1")
+    assert code == 0 and json.loads(out)["min_support"] == 2
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("min-support", "--help")])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert "usage: cubespec" in capsys.readouterr().out
 
 
 def test_demo_passes(capsys):
@@ -182,3 +250,11 @@ def test_demo_passes(capsys):
     assert code == 0, err
     assert "FAIL" not in out
     assert out.count("PASS") >= 10
+
+
+def test_demo_failure_writes_table_then_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(search, "equivalent", lambda f, g: False)
+    code, out, err = run(capsys, "demo")
+    assert code == 2
+    assert out.count("FAIL") == 1 and out.count("PASS") >= 10
+    assert json.loads(err) == {"error": "1 demo checks failed", "kind": "verification"}

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from cubespec import (
     tensor,
     verify_classification,
 )
+from cubespec import search
 from cubespec.search import _kernel_basis
 from oracles import fraction_rank, naive_min_support, sign
 
@@ -61,6 +63,30 @@ class TestMinSupport:
         seq = min_support(3, 1, 2)
         par = min_support(3, 1, 2, jobs=2)
         assert (seq.min_support, seq.witness.values) == (par.min_support, par.witness.values)
+
+    def test_pool_is_capped_at_the_branch_count(self, monkeypatch):
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, processes, initializer, initargs):
+                requested.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(search, "Pool", InProcessPool)
+        monkeypatch.setattr(search, "_POOL_STATE", {})
+        par = min_support(2, 1, 1, jobs=64)
+        assert requested == [3]  # 2^2 - 1 branches on the second support vertex
+        seq = min_support(2, 1, 1)
+        assert replace(par, elapsed=None) == replace(seq, elapsed=None)
 
 
 class TestKernelBasis:
