@@ -61,6 +61,7 @@ _INPUT = (
     _arg("--inline", help="inline JSON instead of a path"),
 )
 _OUTPUT = _arg("--output", default="-", help="output path, '-' for stdout")
+_LIMIT_FLAGS = {"unsafe": "--unsafe-n", "extended": "--extended-n5"}  # search.LimitError keywords
 
 
 def _read_json(path: str, inline: str | None = None):
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
             _error(str(failure), kind="verification", **failure.extra)
             return EXIT_MISMATCH
         return EXIT_OK
+    except search.LimitError as exc:  # name the flag, not the library keyword
+        _error(exc.template.format(_LIMIT_FLAGS[exc.keyword]), kind="contract")
+        return EXIT_CONTRACT
     except ValueError as exc:
         _error(str(exc), kind="contract")
         return EXIT_CONTRACT

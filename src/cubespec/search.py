@@ -33,6 +33,19 @@ CLASSIFY_LIMIT = 4
 CANONICAL_LIMIT = 8
 
 
+class LimitError(ValueError):
+    """A size limit that the keyword argument `keyword` lifts.
+
+    The message names ``keyword=True``; `template` holds it with a {}
+    where that switch goes, so a front end can name its own.
+    """
+
+    def __init__(self, template: str, keyword: str):
+        super().__init__(template.format(f"{keyword}=True"))
+        self.template = template
+        self.keyword = keyword
+
+
 def _check_band_args(n: int, i: int, j: int) -> None:
     if not 0 <= i <= j <= n:
         raise ValueError(f"invalid band [{i}, {j}] for n={n}")
@@ -243,40 +256,73 @@ def _normalize_witness(n, supp, coeffs) -> VertexFunction:
     return _place(n, supp, ints)
 
 
-def _candidate_less(pairs, c, best):
+def _candidate_less(a, b):
     """Lexicographic order on dense value tables, compared sparsely.
 
-    pairs is the sorted support of the candidate with unscaled values, c
-    its pinned scale; best is already scaled.  Missing indices are zeros.
+    a and b are sorted (index, value) lists of the nonzero entries; missing
+    indices are zeros.
     """
     i = j = 0
-    while i < len(pairs) and j < len(best):
-        xa, va = pairs[i]
-        xb, vb = best[j]
+    while i < len(a) and j < len(b):
+        xa, va = a[i]
+        xb, vb = b[j]
         if xa == xb:
-            a = c * va
-            if a != vb:
-                return a < vb
+            if va != vb:
+                return va < vb
             i += 1
             j += 1
         elif xa < xb:
-            return c * va < 0
+            return va < 0
         else:
             return vb > 0
-    if i < len(pairs):
-        return c * pairs[i][1] < 0
-    if j < len(best):
-        return best[j][1] > 0
+    if i < len(a):
+        return a[i][1] < 0
+    if j < len(b):
+        return b[j][1] > 0
     return False
+
+
+def _max_min_xor(codes, nbits):
+    """max over w < 2^nbits of min(t ^ w for t in codes), and every w reaching it.
+
+    Think of a descent from the top bit.  Where a group of codes agrees, w
+    takes the opposite bit, so every t ^ w has a 1 there; where the group
+    splits, the minimum has a 0 whatever w does, and it lies in the half
+    whose bit w matches, so both halves are followed.  Each code t ends
+    its own branch, where it is the minimum and t ^ w has a 0 exactly at
+    the bits where its branch split off from other codes: the top bits of
+    t ^ t' over the other codes t'.  Over the sorted codes those are the
+    running maxima of the top bits of neighbour differences, on either side
+    of t, so one pass each way finds every branch's value.  The best value
+    is the max-min, reached by w = t ^ value from each code that gets it.
+    """
+    codes = sorted(codes)
+    gaps = [1 << ((a ^ b).bit_length() - 1) for a, b in zip(codes, codes[1:])]
+    left = [0]  # the split bits of codes[k] from the codes before it
+    for g in gaps:
+        left.append(g | left[-1] & -(g << 1))
+    right = [0]  # the same from the codes after it, built back to front
+    for g in reversed(gaps):
+        right.append(g | right[-1] & -(g << 1))
+    mask = (1 << nbits) - 1
+    values = [mask & ~(lo | hi) for lo, hi in zip(left, reversed(right))]
+    top = max(values)
+    return top, [t ^ top for t, v in zip(codes, values) if v == top]
 
 
 def canonical_form(f: VertexFunction) -> VertexFunction:
     """Class representative under automorphisms of H(n) and scaling.
 
-    Sweeps the whole group of coordinate permutations composed with
-    translations; each candidate is scaled so its value at its first
-    support vertex is +1, and the lexicographically smallest value table
-    (vertex-code order) wins.  Idempotent and constant on classes.
+    Each candidate c * (f o pi), for pi a coordinate permutation composed
+    with a translation, is scaled so its value at its first support vertex
+    is +1, and the lexicographically smallest value table (vertex-code
+    order) wins.  A table with a later first support vertex is smaller, so
+    only the translations that push the first support vertex as far as it
+    goes can win: per permutation, _max_min_xor finds them on the permuted
+    support, permutations that cannot reach the best first vertex so far
+    are skipped, and the remaining candidates are compared in full.  The
+    result is the minimum over the whole group.  Idempotent and constant
+    on classes.
     """
     n = f.n
     if n > CANONICAL_LIMIT:
@@ -284,24 +330,32 @@ def canonical_form(f: VertexFunction) -> VertexFunction:
     supp_items = [(x, v) for x, v in enumerate(f.values) if v != 0]
     if not supp_items:
         raise ValueError("canonical_form needs a nonzero function")
-    nvert = 1 << n
+    # A candidate scaled by its lead value u holds v / u at each support
+    # vertex; candidates are compared on the order-preserving integer ranks
+    # of these ratios (0 at 0), with values named by their index in `values`.
+    values = sorted({v for _, v in supp_items})
+    ratios = sorted({v / u for u in values for v in values} | {Fraction(0)})
+    rank = {r: k for k, r in enumerate(ratios, -ratios.index(0))}
+    scaled = [[rank[v / u] for v in values] for u in values]
+    ids = [values.index(v) for _, v in supp_items]
+    bits = [[cbit for cbit in range(n) if x >> cbit & 1] for x, _ in supp_items]
     best = None
+    first = -1
     for perm in permutations(range(n)):
-        table = [0] * nvert
-        for x in range(nvert):
-            y = 0
-            for cbit in range(n):
-                if x >> cbit & 1:
-                    y |= 1 << perm[cbit]
-            table[x] = y
-        for v in range(nvert):
-            pairs = sorted((table[s ^ v], val) for s, val in supp_items)
-            c = 1 / pairs[0][1]
-            if best is None or _candidate_less(pairs, c, best):
-                best = [(idx, c * val) for idx, val in pairs]
-    vals = [Fraction(0)] * nvert
-    for idx, val in best:
-        vals[idx] = val
+        codes = [sum(1 << perm[cbit] for cbit in xb) for xb in bits]
+        top, ws = _max_min_xor(codes, n)
+        if top < first:
+            continue
+        for w in ws:
+            pairs = sorted(zip([t ^ w for t in codes], ids))
+            row = scaled[pairs[0][1]]
+            cand = [(idx, row[k]) for idx, k in pairs]
+            if best is None or _candidate_less(cand, best):
+                best, best_pairs, first = cand, pairs, top
+    lead = values[best_pairs[0][1]]
+    vals = [Fraction(0)] * (1 << n)
+    for idx, k in best_pairs:
+        vals[idx] = values[k] / lead
     return VertexFunction(n, tuple(vals))
 
 
@@ -348,7 +402,7 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False, jobs: int = 1) 
     """
     _check_band_args(n, i, j)
     if n > EXHAUSTIVE_LIMIT and not unsafe:
-        raise ValueError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs unsafe=True")
+        raise LimitError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs {{}}", "unsafe")
     start = time.perf_counter()
     rows = _constraint_masks_band(n, i, j)
     size, supports, nodes = _scan_supports(n, rows, jobs)
@@ -416,7 +470,7 @@ def min_support_exact_spectrum(
     if any(not 0 <= a <= n for a in target):
         raise ValueError(f"levels {sorted(target)} out of range 0..{n}")
     if n > EXHAUSTIVE_LIMIT and not unsafe:
-        raise ValueError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs unsafe=True")
+        raise LimitError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs {{}}", "unsafe")
     start = time.perf_counter()
     rows = _constraint_masks_levels(n, target)
     nvert = 1 << n
@@ -483,8 +537,10 @@ def verify_classification(
     _check_band_args(n, i, j)
     limit = 5 if extended else CLASSIFY_LIMIT
     if n > limit:
-        hint = "" if extended else " (pass extended=True for n=5)"
-        raise ValueError(f"classification is exhaustive only for n <= {limit}{hint}")
+        if extended:
+            raise ValueError(f"classification is exhaustive only for n <= {limit}")
+        raise LimitError(f"classification is exhaustive only for n <= {limit} (pass {{}} for n=5)",
+                         "extended")
     start = time.perf_counter()
     rows = _constraint_masks_band(n, i, j)
     size, supports, nodes = _scan_supports(n, rows, jobs)

@@ -3,13 +3,14 @@
 Everything here is written in the most literal O(4^n)-ish style on purpose
 so it shares no code path with the library: double-sum transforms,
 subset-XOR algebraic coefficients, explicit face scans, and an
-all-subsets rank search that does not use the library's pruning.
+all-subsets rank search that does not use the library's pruning, and a
+canonical form that builds and compares every dense image table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from cubespec import VertexFunction, make_function
 
@@ -122,3 +123,28 @@ def naive_min_support(n: int, i: int, j: int) -> int:
 
 def minkowski(a, b) -> frozenset[int]:
     return frozenset(x + y for x in a for y in b)
+
+
+def naive_canonical_form(f: VertexFunction) -> VertexFunction:
+    """Smallest scaled dense table over every permutation and translation.
+
+    The image of f under coordinate permutation perm and translation v
+    takes the value f(x) at perm(x ^ v).  Each image is divided by its
+    first nonzero value, and the tables are compared as lists.
+    """
+    size = 1 << f.n
+    nonzero = [t != 0 for t in f.values]
+    scaled = {}  # lead vertex -> f divided by its value there, zeros as int 0
+    best = None
+    for perm in permutations(range(f.n)):
+        moved = [sum(1 << perm[c] for c in range(f.n) if x >> c & 1) for x in range(size)]
+        inverse = [moved.index(y) for y in range(size)]
+        for v in range(size):
+            source = [x ^ v for x in inverse]  # the image's value at y is f(source[y])
+            lead = next(x for x in source if nonzero[x])
+            if lead not in scaled:
+                scaled[lead] = [t / f.values[lead] if t else 0 for t in f.values]
+            table = [scaled[lead][x] for x in source]
+            if best is None or table < best:
+                best = table
+    return make_function(f.n, best)

@@ -146,6 +146,18 @@ def test_min_support_guard_rails(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("verify-classification", "--n", "5", "--i", "2", "--j", "3"), "--extended-n5"),
+    (("min-support", "--n", "6", "--i", "2", "--j", "3"), "--unsafe-n"),
+    (("min-support", "--n", "6", "--exact-spectrum", "0,3"), "--unsafe-n"),
+])
+def test_limit_errors_name_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert_contract_error(code, out, err)
+    message = json.loads(err)["error"]
+    assert flag in message and "=True" not in message
+
+
 def test_canonical_and_equivalent(tmp_path, capsys):
     a = write_function(tmp_path, "a.json", phi(2))
     b = write_function(tmp_path, "b.json", phi(2).scale(-3))

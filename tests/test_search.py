@@ -8,6 +8,7 @@ from cubespec import (
     LOWER,
     build,
     canonical_form,
+    enumerate_blueprints,
     equivalent,
     make_function,
     min_support,
@@ -20,8 +21,8 @@ from cubespec import (
     verify_classification,
 )
 from cubespec import search
-from cubespec.search import _kernel_basis
-from oracles import fraction_rank, naive_min_support, sign
+from cubespec.search import _kernel_basis, _max_min_xor
+from oracles import fraction_rank, naive_canonical_form, naive_min_support, sign
 
 
 class TestMinSupport:
@@ -58,6 +59,12 @@ class TestMinSupport:
     def test_exhaustive_limit(self):
         with pytest.raises(ValueError):
             min_support(6, 2, 3)
+
+    def test_limit_error_names_the_keyword(self):
+        with pytest.raises(ValueError, match=r"needs unsafe=True"):
+            min_support(6, 2, 3)
+        with pytest.raises(ValueError, match=r"needs unsafe=True"):
+            min_support_exact_spectrum(6, {0, 3})
 
     def test_parallel_scan_matches_sequential(self):
         seq = min_support(3, 1, 2)
@@ -179,6 +186,59 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             canonical_form(point_mass(9))
 
+    def test_matches_full_sweep_oracle_on_random_functions(self, rng):
+        def value():
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+
+        for k in range(1000):
+            n = rng.choice((0, 1, 2, 3, 3, 4, 4, 4, 4, 5))
+            size = 1 << n
+            kind = "constant" if k % 40 == 2 else ("sparse", "full", "mixed", "mixed")[k % 4]
+            if kind == "sparse":
+                vals = [0] * size
+                for x in rng.sample(range(size), rng.randint(1, min(4, size))):
+                    vals[x] = value()
+            elif kind == "full":
+                vals = [value() for _ in range(size)]
+            elif kind == "constant":
+                vals = [value()] * size
+            else:  # zeros, repeated values, both signs and fractions
+                vals = [rng.choice([0, 0, 1, -1, Fraction(1, 2), Fraction(-5, 3)]) for _ in range(size)]
+                if not any(vals):
+                    vals[rng.randrange(size)] = value()
+            f = make_function(n, vals)
+            assert canonical_form(f) == naive_canonical_form(f), f
+
+    def test_matches_full_sweep_oracle_on_blueprints(self):
+        bands = [(n, i, j) for n in range(1, 6) for i in range(n + 1) for j in range(i, n + 1)]
+        functions = [build(bp) for band in bands + [(6, 3, 4)] for bp in enumerate_blueprints(*band)]
+        assert sum(f.n == 6 for f in functions) == 2
+        for f in functions:
+            assert canonical_form(f) == naive_canonical_form(f), f
+
+
+class TestMaxMinXor:
+    @staticmethod
+    def brute(codes, nbits):
+        reach = {w: min(t ^ w for t in codes) for w in range(1 << nbits)}
+        top = max(reach.values())
+        return top, sorted(w for w, v in reach.items() if v == top)
+
+    def test_matches_brute_force(self, rng):
+        for _ in range(2000):
+            nbits = rng.randint(0, 6)
+            codes = rng.sample(range(1 << nbits), rng.randint(1, 1 << nbits))
+            top, ws = _max_min_xor(codes, nbits)
+            assert (top, sorted(ws)) == self.brute(codes, nbits), codes
+
+    def test_no_bits(self):
+        assert _max_min_xor([0], 0) == (0, [0])
+
+    def test_all_codes_let_every_translation_reach_zero(self):
+        for nbits in range(5):
+            top, ws = _max_min_xor(list(range(1 << nbits)), nbits)
+            assert (top, sorted(ws)) == (0, list(range(1 << nbits)))
+
 
 class TestEquivalent:
     def test_scaled_coordinate_swap(self):
@@ -224,6 +284,10 @@ class TestVerifyClassification:
         report = verify_classification(4, 1, 3)
         assert report.ok
         assert not any("kernel dimension" in note for note in report.notes)
+
+    def test_limit_error_names_the_keyword(self):
+        with pytest.raises(ValueError, match=r"pass extended=True for n=5"):
+            verify_classification(5, 2, 3)
 
     def test_extended_flag_gates_n5(self):
         with pytest.raises(ValueError):
