@@ -1,8 +1,12 @@
-"""The class tables of verify-classification, pinned byte for byte.
+"""CLI search output, pinned byte for byte.
 
 tests/golden_classes.json holds, for every band with n <= 4 and the nine
 n = 5 bands [i, j] with i <= 2 and j >= 3 (bound <= 4), the minimum support,
-the number of classes and a sha256 of the CLI's stdout.  Regenerate it with
+the number of classes and a sha256 of the stdout of verify-classification.
+tests/golden_exact_spectrum.json holds, for every nonempty level set at
+n = 2..4, the minimum support, the number of nodes examined and a sha256 of
+the stdout of min-support --exact-spectrum, the scan that descends through
+dependent supports.  Regenerate both with
 ``PYTHONPATH=src python tests/test_golden_classes.py`` only when a change
 to the output is intended.
 """
@@ -14,6 +18,7 @@ import hashlib
 import io
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -21,31 +26,59 @@ import pytest
 from cubespec import cli
 
 GOLDEN = Path(__file__).with_name("golden_classes.json")
+GOLDEN_EXACT = Path(__file__).with_name("golden_exact_spectrum.json")
 
 BANDS = [(n, i, j) for n in range(1, 5) for i in range(n + 1) for j in range(i, n + 1)] + [
     (5, i, j) for i in range(3) for j in range(3, 6)
 ]
+
+LEVEL_SETS = [
+    (n, levels)
+    for n in range(2, 5)
+    for size in range(1, n + 2)
+    for levels in combinations(range(n + 1), size)
+]
+
+
+def _run(argv: list[str]) -> tuple[dict, str]:
+    """The parsed stdout of a successful CLI run and its sha256."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    return json.loads(out.getvalue()), hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def classification_record(n: int, i: int, j: int) -> dict:
     argv = ["verify-classification", "--n", str(n), "--i", str(i), "--j", str(j)]
     if n == 5:
         argv.append("--extended-n5")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert (code, err.getvalue()) == (0, ""), argv
-    report = json.loads(out.getvalue())
+    report, digest = _run(argv)
     return {
         "band": [n, i, j],
         "min_support": report["min_support"],
         "classes": len(report["classes_found"]),
-        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stdout_sha256": digest,
+    }
+
+
+def exact_spectrum_record(n: int, levels: tuple[int, ...]) -> dict:
+    argv = ["min-support", "--n", str(n), "--exact-spectrum", ",".join(map(str, levels))]
+    report, digest = _run(argv)
+    return {
+        "levels": [n, *levels],
+        "min_support": report["min_support"],
+        "nodes_examined": report["nodes_examined"],
+        "stdout_sha256": digest,
     }
 
 
 def _golden() -> dict:
     return {tuple(rec["band"]): rec for rec in json.loads(GOLDEN.read_text())}
+
+
+def _golden_exact() -> dict:
+    return {tuple(rec["levels"]): rec for rec in json.loads(GOLDEN_EXACT.read_text())}
 
 
 @pytest.mark.parametrize("band", BANDS, ids=lambda b: "n{}_{}_{}".format(*b))
@@ -57,7 +90,22 @@ def test_golden_covers_every_band():
     assert sorted(_golden()) == sorted(BANDS)
 
 
+@pytest.mark.parametrize(
+    "n,levels", LEVEL_SETS, ids=lambda v: f"n{v}" if isinstance(v, int) else "_".join(map(str, v))
+)
+def test_exact_spectrum_matches_golden(n, levels):
+    assert exact_spectrum_record(n, levels) == _golden_exact()[(n, *levels)]
+
+
+def test_exact_golden_covers_every_level_set():
+    assert sorted(_golden_exact()) == sorted((n, *levels) for n, levels in LEVEL_SETS)
+
+
+def _write(path: Path, records: list[dict]) -> None:
+    path.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n]\n")
+    sys.stdout.write(f"wrote {len(records)} records to {path}\n")
+
+
 if __name__ == "__main__":
-    records = [classification_record(*band) for band in BANDS]
-    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n]\n")
-    sys.stdout.write(f"wrote {len(records)} bands to {GOLDEN}\n")
+    _write(GOLDEN, [classification_record(*band) for band in BANDS])
+    _write(GOLDEN_EXACT, [exact_spectrum_record(n, levels) for n, levels in LEVEL_SETS])
