@@ -72,25 +72,18 @@ def _reduce_column(col, basis):
     Returns None when the column is dependent on the basis, otherwise
     (pivot_index, reduced_vector) with the integer content divided out.
     """
-    v = list(col)
+    v = col
     for pivot, b in basis:
         c = v[pivot]
         if c:
             bp = b[pivot]
             v = [x * bp - y * c for x, y in zip(v, b)]
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-        if g == 1:
-            break
+    g = math.gcd(*v)
     if g == 0:
         return None
     if g > 1:
         v = [x // g for x in v]
-    for idx, x in enumerate(v):
-        if x:
-            return idx, tuple(v)
-    return None  # unreachable
+    return next(k for k, x in enumerate(v) if x), v
 
 
 def _dfs(cols, supp, basis, cap, on_dependent):
@@ -99,31 +92,32 @@ def _dfs(cols, supp, basis, cap, on_dependent):
     basis holds the reduced columns of supp.  Each extension counts as one
     node; a dependent one is handed to on_dependent(support, bound), which
     returns the new size bound.  The scan descends only through supports
-    still below the bound, dependent ones included.  Returns (nodes, bound).
+    still below the bound, dependent ones included.  Every node carries its
+    later candidates with their columns reduced against its support (None
+    once dependent), so a child costs one elimination step per candidate.
+    Returns (nodes, bound).
     """
-    nvert = len(cols)
     nodes = 0
     bound = cap
 
-    def visit(supp):
+    def visit(supp, cands):
         nonlocal nodes, bound
         child = len(supp) + 1
-        for e in range(supp[-1] + 1, nvert):
+        for k, (e, red) in enumerate(cands):
             if child > bound:
                 return
             nodes += 1
-            red = _reduce_column(cols[e], basis)
             ns = supp + (e,)
             if red is None:
                 bound = on_dependent(ns, bound)
                 if child < bound:
-                    visit(ns)
+                    visit(ns, cands[k + 1:])
             elif child < bound:
-                basis.append(red)
-                visit(ns)
-                basis.pop()
+                p, step = red[0], [red]
+                visit(ns, [(f, r and (_reduce_column(r[1], step) if r[1][p] else r))
+                           for f, r in cands[k + 1:]])
 
-    visit(supp)
+    visit(supp, [(e, _reduce_column(cols[e], basis)) for e in range(supp[-1] + 1, len(cols))])
     return nodes, bound
 
 

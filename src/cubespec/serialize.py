@@ -19,7 +19,7 @@ from .search import SearchReport
 from .spectral import SpectrumSet
 from .trades import AffineSubspace, TradePair
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
 
 
 def fraction_to_str(value: Fraction) -> str:
@@ -27,7 +27,7 @@ def fraction_to_str(value: Fraction) -> str:
 
 
 def fraction_from_str(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a 'p' or 'p/q' rational string: {text!r}")
     return Fraction(text)
 
@@ -94,13 +94,10 @@ def blueprint_to_dict(bp: Blueprint) -> dict:
 
 
 def blueprint_from_dict(payload: dict, n: int) -> Blueprint:
-    return Blueprint(
-        payload["case"],
-        tuple(payload["odd"]),
-        tuple(payload["even"]),
-        payload["r"],
-        n,
-    )
+    case, odd, even, r = fields(payload, case=str, odd=list, even=list, r=int)
+    if any(type(p) is not int for p in odd + even):
+        raise ValueError(f"blueprint parts must be integers, got odd={odd} even={even}")
+    return Blueprint(case, tuple(odd), tuple(even), r, n)
 
 
 def trade_pair_to_dict(tp: TradePair) -> dict:

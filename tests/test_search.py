@@ -1,5 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import pytest
 
@@ -111,6 +113,36 @@ class TestKernelBasis:
                 assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
             dims.add(len(kernel))
         assert 0 in dims and max(dims) >= 4
+
+
+class TestDfs:
+    def test_matches_fraction_rank_oracle(self, rng):
+        # The hook gets exactly the supports whose last column depends on
+        # the columns before it.  Rows [1, 2, 4] at n = 3: every residual
+        # is live at the root, and each one turns None below a third vertex.
+        cases = [(3, [1, 2, 4], 8)]
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            cases.append((n, rng.sample(range(1 << n), rng.randint(1, 1 << n)), rng.randint(2, 1 << n)))
+        turned_none = 0
+        for n, rows, cap in cases:
+            @cache
+            def rank(supp):
+                return fraction_rank([[sign(u, x) for x in supp] for u in rows])
+
+            seen = []
+
+            def hook(supp, bound):
+                seen.append(supp)
+                return bound
+
+            cols = search._columns(n, rows)
+            nodes, bound = search._dfs(cols, (0,), [search._reduce_column(cols[0], [])], cap, hook)
+            supports = [(0, *rest) for k in range(1, cap) for rest in combinations(range(1, 1 << n), k)]
+            assert (nodes, bound) == (len(supports), cap)
+            assert sorted(seen) == sorted(s for s in supports if rank(s) == rank(s[:-1])), rows
+            turned_none += sum(len(s) > 2 and rank((0, s[-1])) == 2 for s in seen)
+        assert turned_none
 
 
 class TestExactSpectrum:

@@ -22,7 +22,7 @@ class TestFractions:
             assert serialize.fraction_to_str(serialize.fraction_from_str(text)) == text
 
     def test_strict_parsing(self):
-        for bad in ("1.5", "1/0", "a", "1/-2", "", "07/"):
+        for bad in ("1.5", "1/0", "a", "1/-2", "", "07/", "1\n", "3/4\n"):
             with pytest.raises(ValueError):
                 serialize.fraction_from_str(bad)
         with pytest.raises(ValueError):
@@ -97,6 +97,18 @@ def test_blueprint_round_trip():
     payload = serialize.blueprint_to_dict(bp)
     assert payload == {"case": "LOWER", "odd": [1], "even": [2], "r": 1}
     assert serialize.blueprint_from_dict(payload, 4) == bp
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    [],
+    {"case": "LOWER", "odd": [1], "even": [2], "r": True},
+    {"case": "LOWER", "odd": [True], "even": [2], "r": 1},
+    {"case": "LOWER", "odd": ["1"], "even": [2], "r": 1},
+])
+def test_blueprint_validation(payload):
+    with pytest.raises(ValueError):
+        serialize.blueprint_from_dict(payload, 4)
 
 
 def test_search_report_timing_is_opt_in():
