@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -52,8 +51,6 @@ def _arg(*flags, **kwargs):
 
 _N, _I, _J = (_arg(f"--{name}", type=int, required=True) for name in "nij")
 _BAND = (_N, _I, _J)
-_JOBS = _arg("--jobs", type=int, help="worker processes for band scans (default: "
-             "$CUBESPEC_JOBS, else 1); --exact-spectrum always runs sequentially")
 _TIMING = _arg("--timing", action="store_true", help="include elapsed seconds in the report")
 _PATHS = _arg("paths", nargs=2, metavar="PATH", help="two function files, '-' for stdin")
 _INPUT = (
@@ -122,7 +119,7 @@ def cmd_min_support(args, _):
     if args.exact_spectrum is None:
         if args.i is None or args.j is None:
             raise ValueError("min-support needs --i and --j unless --exact-spectrum is given")
-        report = search.min_support(args.n, args.i, args.j, unsafe=args.unsafe_n, jobs=args.jobs)
+        report = search.min_support(args.n, args.i, args.j, unsafe=args.unsafe_n)
     elif args.i is not None or args.j is not None:
         raise ValueError("min-support takes either --i and --j or --exact-spectrum, not both")
     else:
@@ -135,9 +132,7 @@ def cmd_min_support(args, _):
 
 
 def cmd_verify_classification(args, _):
-    report = search.verify_classification(
-        args.n, args.i, args.j, extended=args.extended_n5, jobs=args.jobs
-    )
+    report = search.verify_classification(args.n, args.i, args.j, extended=args.extended_n5)
     out = serialize.search_report_to_dict(report, with_timing=args.timing)
     if not report.ok:
         raise VerificationError("classification mismatch", out, notes=list(report.notes))
@@ -163,7 +158,7 @@ def cmd_demo(args, _):
     for n in range(1, 5):
         for i in range(n + 1):
             for j in range(i, n + 1):
-                report = search.min_support(n, i, j, jobs=args.jobs)
+                report = search.min_support(n, i, j)
                 check(
                     f"support minimum for n={n} band [{i},{j}]",
                     report.min_support,
@@ -231,7 +226,6 @@ COMMANDS = (
         _arg("--j", type=int),
         _arg("--exact-spectrum", help="comma-separated levels, e.g. 0,3"),
         _arg("--unsafe-n", action="store_true", help="allow n beyond the exhaustive limit"),
-        _JOBS,
         _TIMING,
     ), cmd_min_support),
     Command("canonical", "class representative under automorphisms and scaling", _function, (),
@@ -240,10 +234,9 @@ COMMANDS = (
             lambda args, fg: {"equivalent": search.equivalent(*fg)}),
     Command("verify-classification", "match search classes against blueprints", None, _BAND + (
         _arg("--extended-n5", action="store_true", help="allow the n=5 exhaustive run"),
-        _JOBS,
         _TIMING,
     ), cmd_verify_classification),
-    Command("demo", "re-derive the desk-scale checks end to end", None, (_JOBS,), cmd_demo),
+    Command("demo", "re-derive the desk-scale checks end to end", None, (), cmd_demo),
 )
 
 
@@ -272,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flags, kwargs in cmd.args + inputs + (_OUTPUT,):
             p.add_argument(*flags, **kwargs)
         p.set_defaults(cmd=cmd)
-        if _JOBS in cmd.args:  # parsed like a given value, so a bad one is a usage error
-            p.set_defaults(jobs=os.environ.get("CUBESPEC_JOBS", "1"))
     return parser
 
 

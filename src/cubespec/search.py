@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from multiprocessing import Pool
 
 from .constructions import Blueprint, build, enumerate_blueprints
 from .functions import VertexFunction, support, support_size
@@ -59,11 +58,13 @@ def _constraint_masks_levels(n: int, levels: frozenset[int]) -> list[int]:
     return [u for u in range(1 << n) if u.bit_count() not in levels]
 
 
+def _column(rows: list[int], x: int) -> list[int]:
+    """The characters at the masks in rows, evaluated at vertex x."""
+    return [-1 if (u & x).bit_count() & 1 else 1 for u in rows]
+
+
 def _columns(n: int, rows: list[int]) -> list[tuple[int, ...]]:
-    return [
-        tuple(-1 if (u & x).bit_count() & 1 else 1 for u in rows)
-        for x in range(1 << n)
-    ]
+    return [tuple(_column(rows, x)) for x in range(1 << n)]
 
 
 def _reduce_column(col, basis):
@@ -121,12 +122,31 @@ def _dfs(cols, supp, basis, cap, on_dependent):
     return nodes, bound
 
 
-def _band_branch(cols, second, cap):
-    """Minimal dependent supports {0, second, ...} below the size cap.
+def _scan_from_root(n, rows, cap, on_dependent):
+    """Run _dfs over the supports through vertex 0 of size at most cap.
 
-    Returns (found, nodes, bound) where found maps size -> supports; the
-    collection is complete for every size <= bound, and bound never
-    exceeds cap.  A dependent support is recorded and never extended,
+    The root support {0} counts as a node.  Its all-ones column is the
+    root basis, and it is dependent only when no rows constrain, in which
+    case the point mass at 0 goes to on_dependent and nothing is scanned.
+    Returns (nodes, bound).
+    """
+    cols = _columns(n, rows)
+    root = _reduce_column(cols[0], [])
+    if root is None:
+        return 1, on_dependent((0,), cap)
+    nodes, bound = _dfs(cols, (0,), [root], cap, on_dependent)
+    return nodes + 1, bound
+
+
+def _colex_key(supp):
+    return tuple(sorted(supp, reverse=True))
+
+
+def _scan_supports(n, rows):
+    """Smallest dependent supports through vertex 0.
+
+    Returns (min_size, supports at min_size in colexicographic order,
+    nodes_examined).  A dependent support is recorded and never extended,
     since recording lowers the bound to its size.
     """
     found: dict[int, list[tuple[int, ...]]] = {}
@@ -135,71 +155,8 @@ def _band_branch(cols, second, cap):
         found.setdefault(len(supp), []).append(supp)
         return len(supp)
 
-    basis = [_reduce_column(cols[0], [])]  # the all-ones column, never dependent
-    red = _reduce_column(cols[second], basis)
-    if red is None:
-        return found, 1, record((0, second), cap)
-    basis.append(red)
-    nodes, bound = _dfs(cols, (0, second), basis, cap, record)
-    return found, nodes + 1, bound
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(cols):
-    _POOL_STATE["cols"] = cols
-
-
-def _pool_branch(task):
-    second, cap = task
-    return _band_branch(_POOL_STATE["cols"], second, cap)
-
-
-def _colex_key(supp):
-    return tuple(sorted(supp, reverse=True))
-
-
-def _scan_supports(n, rows, jobs=1):
-    """Smallest dependent supports through vertex 0, ascending by size.
-
-    Returns (min_size, supports at min_size in colexicographic order,
-    nodes_examined).  With jobs > 1 the branches on the second support
-    element are scanned by a process pool in fixed batches, so the result
-    set is independent of scheduling; only the nodes_examined diagnostic
-    depends on the jobs split, because pruning bounds propagate once per
-    batch instead of once per branch.  jobs is capped at the 2^n - 1
-    branches: more workers would idle, and the batches stay the same.
-    """
-    nvert = 1 << n
-    if not rows:
-        return 1, [(0,)], 1
-    cols = _columns(n, rows)
-    best = nvert
-    found: dict[int, list[tuple[int, ...]]] = {}
-    nodes = 1  # the root support {0}
-
-    def merge(res):
-        nonlocal best, nodes
-        fnd, nd, b = res
-        nodes += nd
-        best = min(best, b)
-        for size, supps in fnd.items():
-            found.setdefault(size, []).extend(supps)
-
-    seconds = list(range(1, nvert))
-    jobs = min(jobs, len(seconds))
-    if jobs <= 1:
-        for second in seconds:
-            merge(_band_branch(cols, second, best))
-    else:
-        with Pool(jobs, _pool_init, (cols,)) as pool:
-            for at in range(0, len(seconds), jobs):
-                batch = seconds[at:at + jobs]
-                for res in pool.map(_pool_branch, [(s, best) for s in batch]):
-                    merge(res)
-    min_size = min(found)
-    return min_size, sorted(found[min_size], key=_colex_key), nodes
+    nodes, size = _scan_from_root(n, rows, 1 << n, record)
+    return size, sorted(found[size], key=_colex_key), nodes
 
 
 def _kernel_basis(rows, supp):
@@ -216,7 +173,7 @@ def _kernel_basis(rows, supp):
     basis = []
     kernel = []
     for k, x in enumerate(supp):
-        col = [-1 if (u & x).bit_count() & 1 else 1 for u in rows] + [0] * len(supp)
+        col = _column(rows, x) + [0] * len(supp)
         col[m + k] = 1
         pivot, v = _reduce_column(col, basis)
         if pivot < m:
@@ -236,13 +193,9 @@ def _place(n, supp, coeffs) -> VertexFunction:
 
 def _normalize_witness(n, supp, coeffs) -> VertexFunction:
     """Scale a kernel vector to integers with content 1 and a positive lead."""
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom_lcm) for c in coeffs]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x)
     if lead < 0:
@@ -387,7 +340,7 @@ class SearchReport:
     nodes_examined: int = 0
 
 
-def min_support(n: int, i: int, j: int, *, unsafe: bool = False, jobs: int = 1) -> SearchReport:
+def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport:
     """Exhaustive minimum support of a nonzero band-[i, j] member of H(n).
 
     Candidate supports grow by size; the reported witness comes from the
@@ -399,7 +352,7 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False, jobs: int = 1) 
         raise LimitError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs {{}}", "unsafe")
     start = time.perf_counter()
     rows = _constraint_masks_band(n, i, j)
-    size, supports, nodes = _scan_supports(n, rows, jobs)
+    size, supports, nodes = _scan_supports(n, rows)
     pick = supports[0]
     kernel = _kernel_basis(rows, pick)
     notes = []
@@ -453,7 +406,7 @@ def min_support_exact_spectrum(
     allowed coefficient levels, but a feasible support must additionally
     admit a kernel combination hitting every level.  Exactness is not
     inherited by subsets, so the scan descends through dependent supports
-    as well; it runs sequentially.
+    as well.
 
     With max_size set, reports no witness (min_support None) when nothing
     achieves exactness within the cap.
@@ -469,17 +422,6 @@ def min_support_exact_spectrum(
     rows = _constraint_masks_levels(n, target)
     nvert = 1 << n
     cap = min(max_size, nvert) if max_size is not None else nvert
-
-    if not rows:
-        # every level allowed, and a point mass carries them all
-        witness = _place(n, (0,), (1,))
-        return SearchReport(
-            n=n, levels=tuple(sorted(target)),
-            min_support=1, witness=witness,
-            elapsed=time.perf_counter() - start, nodes_examined=1,
-        )
-
-    cols = _columns(n, rows)
     results: dict[int, list[VertexFunction]] = {}
 
     def handle(supp, bound):
@@ -492,8 +434,7 @@ def min_support_exact_spectrum(
         results.setdefault(wsize, []).append(w)
         return wsize
 
-    nodes, _ = _dfs(cols, (0,), [_reduce_column(cols[0], [])], cap, handle)
-    nodes += 1  # the root support {0}
+    nodes, _ = _scan_from_root(n, rows, cap, handle)
 
     if not results:
         return SearchReport(
@@ -516,9 +457,7 @@ def min_support_exact_spectrum(
     )
 
 
-def verify_classification(
-    n: int, i: int, j: int, *, extended: bool = False, jobs: int = 1
-) -> SearchReport:
+def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> SearchReport:
     """Cross-check the optimal classes of a band against the blueprints.
 
     Collects every minimal-size feasible support through vertex 0, extracts
@@ -537,7 +476,7 @@ def verify_classification(
                          "extended")
     start = time.perf_counter()
     rows = _constraint_masks_band(n, i, j)
-    size, supports, nodes = _scan_supports(n, rows, jobs)
+    size, supports, nodes = _scan_supports(n, rows)
     expected = max(1 << i, 1 << (n - j))
     ok = True
     notes: list[str] = []

@@ -16,6 +16,7 @@ from .functions import (
     MAX_DIMENSION,
     VertexFunction,
     inverse_walsh,
+    restrict,
     walsh_transform,
     weight,
 )
@@ -111,8 +112,6 @@ def reduction_check(f: VertexFunction, i: int, j: int, r: int) -> bool:
     [i-1, j-1], f0 + f1 in band [i, j], and each slice in band [i-1, j],
     all on H(n-1) with bands clipped to [0, n-1].
     """
-    from .functions import restrict
-
     if not 0 <= i <= j <= f.n:
         raise ValueError(f"invalid band [{i}, {j}] for n={f.n}")
     m = f.n - 1

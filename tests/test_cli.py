@@ -237,16 +237,19 @@ def test_every_input_command_rejects_malformed_input(tmp_path, capsys, cmd, payl
     ("equivalent",),
     ("frobnicate",),
     (),
+    ("min-support", "--n", "2", "--i", "1", "--j", "1", "--jobs", "2"),
 ])
 def test_usage_error_exits_with_contract_error(capsys, argv):
     assert_contract_error(*run(capsys, *argv))
 
 
-def test_malformed_jobs_environment_is_a_usage_error(capsys, monkeypatch):
+def test_jobs_environment_is_ignored(capsys, monkeypatch):
+    argv = ("min-support", "--n", "2", "--i", "1", "--j", "1")
+    monkeypatch.delenv("CUBESPEC_JOBS", raising=False)
+    unset = run(capsys, *argv)
     monkeypatch.setenv("CUBESPEC_JOBS", "many")
-    assert_contract_error(*run(capsys, "min-support", "--n", "2", "--i", "1", "--j", "1"))
-    code, out, _ = run(capsys, "min-support", "--n", "2", "--i", "1", "--j", "1", "--jobs", "1")
-    assert code == 0 and json.loads(out)["min_support"] == 2
+    assert run(capsys, *argv) == unset
+    assert unset[0] == 0 and json.loads(unset[1])["min_support"] == 2
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("min-support", "--help")])

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -15,6 +14,7 @@ from cubespec import (
     make_function,
     min_support,
     min_support_exact_spectrum,
+    parity_twist,
     phi,
     point_mass,
     spectrum,
@@ -68,34 +68,23 @@ class TestMinSupport:
         with pytest.raises(ValueError, match=r"needs unsafe=True"):
             min_support_exact_spectrum(6, {0, 3})
 
-    def test_parallel_scan_matches_sequential(self):
-        seq = min_support(3, 1, 2)
-        par = min_support(3, 1, 2, jobs=2)
-        assert (seq.min_support, seq.witness.values) == (par.min_support, par.witness.values)
 
-    def test_pool_is_capped_at_the_branch_count(self, monkeypatch):
-        requested = []
+# Every band with n <= 4, and the nine n = 5 bands with bound <= 4.
+DUALITY_BANDS = [(n, i, j) for n in range(5) for i in range(n + 1) for j in range(i, n + 1)]
+DUALITY_BANDS += [(5, i, j) for i in range(3) for j in range(3, 6)]
 
-        class InProcessPool:
-            def __init__(self, processes, initializer, initargs):
-                requested.append(processes)
-                initializer(*initargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(search, "Pool", InProcessPool)
-        monkeypatch.setattr(search, "_POOL_STATE", {})
-        par = min_support(2, 1, 1, jobs=64)
-        assert requested == [3]  # 2^2 - 1 branches on the second support vertex
-        seq = min_support(2, 1, 1)
-        assert replace(par, elapsed=None) == replace(seq, elapsed=None)
+class TestParityDuality:
+    # The columns of band [n-j, n-i] are those of band [i, j] times (-1)^|x|,
+    # which changes no dependence: the two scans must agree node for node,
+    # and the twist must carry one witness to the other.
+    @pytest.mark.parametrize("n,i,j", DUALITY_BANDS)
+    def test_dual_bands_scan_alike(self, n, i, j):
+        rows = search._constraint_masks_band
+        scan = search._scan_supports(n, rows(n, i, j))
+        assert search._scan_supports(n, rows(n, n - j, n - i)) == scan
+        dual = min_support(n, n - j, n - i).witness
+        assert dual.values == parity_twist(min_support(n, i, j).witness).values
 
 
 class TestKernelBasis:
@@ -172,6 +161,10 @@ class TestExactSpectrum:
         assert report.min_support is None
         assert report.witness is None
         assert "no witness" in report.notes[0]
+
+    def test_size_cap_applies_to_the_point_mass(self):
+        assert min_support_exact_spectrum(2, {0, 1, 2}, max_size=1).min_support == 1
+        assert min_support_exact_spectrum(2, {0, 1, 2}, max_size=0).min_support is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
