@@ -2,8 +2,10 @@
 
 Vertices of H(n) are the elements of Z_2^n, encoded as integer bitmasks in
 [0, 2^n) with coordinate 1 in the least significant bit.  A VertexFunction
-stores one Fraction per vertex, so every transform and every zero test in
-this package is exact; floats are rejected on input.
+stores one Fraction per vertex (ints are converted, floats and other types
+rejected), so every transform and every zero test in this package is exact.
+Dense-table arithmetic scales a table once by the lcm of its denominators and
+runs on Python ints, building Fractions only for the result.
 
 The Walsh-Hadamard transform is stored unnormalized:
 
@@ -18,8 +20,10 @@ tensor(f1, f2) at code y*2^m + x is f1(x)*f2(y) for f1 on H(m).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 MAX_DIMENSION = 24
 
@@ -54,6 +58,11 @@ class VertexFunction:
             raise ValueError(
                 f"value table has length {len(self.values)}, expected {1 << self.n} for n={self.n}"
             )
+        if not all(type(v) is Fraction for v in self.values):
+            for k, v in enumerate(self.values):
+                if type(v) is not int and not isinstance(v, Fraction):
+                    raise ValueError(f"value at index {k} is {type(v).__name__}, expected int or Fraction")
+            object.__setattr__(self, "values", tuple(map(Fraction, self.values)))
 
     def __add__(self, other: "VertexFunction") -> "VertexFunction":
         self._check_same_cube(other)
@@ -95,32 +104,38 @@ def constant_function(n: int, c) -> VertexFunction:
     return VertexFunction(n, (as_fraction(c),) * (1 << n))
 
 
+def _scaled_ints(values) -> tuple[list[int], int]:
+    """Integers c and the lcm d of the denominators, with values[k] == c[k] / d."""
+    d = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _butterfly(vals: list[int]) -> list[int]:
+    # one stage per coordinate: transform the top bit and rotate it to bit 0
+    half = len(vals) >> 1
+    for _ in range(half.bit_length()):
+        lo, hi = vals[:half], vals[half:]
+        vals[0::2] = map(add, lo, hi)
+        vals[1::2] = map(sub, lo, hi)
+    return vals
+
+
 def walsh_transform(f: VertexFunction) -> VertexFunction:
     """Unnormalized coefficient table: result[u] = sum_x f(x) * (-1)^(u.x).
 
-    In-place butterfly, O(n * 2^n) exact additions.  Applying it twice
-    multiplies by 2^n; the normalized coefficient <f, chi_u> equals
-    result[u] / 2^n.
+    An O(n * 2^n) integer butterfly on the table scaled by the lcm d of its
+    denominators, divided back by d.  Applying it twice multiplies by 2^n;
+    the normalized coefficient <f, chi_u> equals result[u] / 2^n.
     """
-    vals = list(f.values)
-    size = len(vals)
-    h = 1
-    while h < size:
-        for i in range(0, size, h * 2):
-            for j in range(i, i + h):
-                x = vals[j]
-                y = vals[j + h]
-                vals[j] = x + y
-                vals[j + h] = x - y
-        h *= 2
-    return VertexFunction(f.n, tuple(vals))
+    ints, d = _scaled_ints(f.values)
+    return VertexFunction(f.n, tuple(Fraction(c, d) for c in _butterfly(ints)))
 
 
 def inverse_walsh(fhat: VertexFunction) -> VertexFunction:
     """Inverse of walsh_transform: f(x) = (1/2^n) * sum_u fhat(u) * (-1)^(u.x)."""
-    g = walsh_transform(fhat)
-    scale = Fraction(1, 1 << fhat.n)
-    return VertexFunction(fhat.n, tuple(scale * v for v in g.values))
+    ints, d = _scaled_ints(fhat.values)
+    d <<= fhat.n
+    return VertexFunction(fhat.n, tuple(Fraction(c, d) for c in _butterfly(ints)))
 
 
 def tensor(f1: VertexFunction, f2: VertexFunction) -> VertexFunction:
@@ -158,8 +173,8 @@ def parity_twist(f: VertexFunction) -> VertexFunction:
 def inner_product(f: VertexFunction, g: VertexFunction) -> Fraction:
     """Normalized inner product (1/2^n) * sum_x f(x)g(x)."""
     f._check_same_cube(g)
-    total = sum((a * b for a, b in zip(f.values, g.values)), Fraction(0))
-    return total / (1 << f.n)
+    (a, da), (b, db) = _scaled_ints(f.values), _scaled_ints(g.values)
+    return Fraction(sum(map(mul, a, b)), da * db << f.n)
 
 
 def support(f: VertexFunction) -> frozenset[int]:

@@ -19,7 +19,7 @@ from .search import SearchReport
 from .spectral import SpectrumSet
 from .trades import AffineSubspace, TradePair
 
-_RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 def fraction_to_str(value: Fraction) -> str:
@@ -27,9 +27,10 @@ def fraction_to_str(value: Fraction) -> str:
 
 
 def fraction_from_str(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a 'p' or 'p/q' rational string: {text!r}")
-    return Fraction(text)
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def function_to_dict(f: VertexFunction) -> dict:

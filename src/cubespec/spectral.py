@@ -15,6 +15,7 @@ from fractions import Fraction
 from .functions import (
     MAX_DIMENSION,
     VertexFunction,
+    _scaled_ints,
     inverse_walsh,
     restrict,
     walsh_transform,
@@ -90,15 +91,12 @@ def in_band(f: VertexFunction, i: int, j: int) -> bool:
 def check_eigen_relation(f: VertexFunction, lam: int) -> bool:
     """Direct test of lam * f(x) = sum of f over the n neighbors of x, at every x.
 
-    Works straight from the value table, independently of the transform.
+    Works straight from the value table, independently of the transform,
+    on the integers of the table scaled by the lcm of its denominators.
     """
-    n = f.n
-    vals = f.values
-    for x in range(1 << n):
-        acc = sum((vals[x ^ (1 << b)] for b in range(n)), Fraction(0))
-        if acc != lam * vals[x]:
-            return False
-    return True
+    vals, _ = _scaled_ints(f.values)
+    bits = [1 << b for b in range(f.n)]
+    return all(sum(vals[x ^ b] for b in bits) == lam * v for x, v in enumerate(vals))
 
 
 def _clip_band(i: int, j: int, m: int) -> tuple[int, int]:

@@ -37,6 +37,19 @@ def random_function(rng, n, lo=-5, hi=5):
     return make_function(n, vals)
 
 
+# coprime denominators, powers of 2 and a Mersenne prime: the lcm of a table
+# is far above its largest denominator
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 11, 13, 16)
+LARGE_PRIME = (1 << 61) - 1
+
+
+def random_rational_function(rng, n):
+    """Random signed rational table over mixed denominators, one entry over LARGE_PRIME."""
+    vals = [Fraction(rng.randrange(-20, 21), rng.choice(DENOMINATORS)) for _ in range(1 << n)]
+    vals[rng.randrange(len(vals))] = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 50), LARGE_PRIME)
+    return make_function(n, vals)
+
+
 def random_band_function(rng, n, i, j, max_terms=5):
     """Random rational combination of characters with weights in [i, j].
 

@@ -41,6 +41,19 @@ def naive_inverse_walsh(fhat: VertexFunction) -> VertexFunction:
     return make_function(fhat.n, vals)
 
 
+def naive_eigen_relation(f: VertexFunction, lam) -> bool:
+    """lam * f(x) equals the Fraction sum of f over every y at distance 1 from x."""
+    size = 1 << f.n
+    for x in range(size):
+        total = Fraction(0)
+        for y in range(size):
+            if weight(x ^ y) == 1:
+                total += f.values[y]
+        if total != lam * f.values[x]:
+            return False
+    return True
+
+
 def naive_anf_coefficients(values) -> list[int]:
     """Coefficient at mask m is the XOR of the 0/1 values over x <= m bitwise."""
     size = len(values)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cubespec import (
+    VertexFunction,
     character,
     in_band,
     inner_product,
@@ -19,7 +20,7 @@ from cubespec import (
     walsh_transform,
     zero_function,
 )
-from conftest import random_band_function, random_function
+from conftest import random_band_function, random_function, random_rational_function
 from oracles import naive_inverse_walsh, naive_walsh
 
 
@@ -46,6 +47,18 @@ class TestMakeFunction:
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
             make_function(1, [0.5, 1])
+
+
+class TestVertexFunctionValues:
+    @pytest.mark.parametrize("bad", [True, 0.5, "1", None], ids=["bool", "float", "str", "None"])
+    def test_rejects_non_rational_values(self, bad):
+        with pytest.raises(ValueError, match=f"index 2 is {type(bad).__name__}"):
+            VertexFunction(2, (Fraction(1), 0, bad, bad))
+
+    def test_ints_become_fractions(self):
+        f = VertexFunction(2, (1, Fraction(1, 2), 0, -3))
+        assert f.values == (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-3))
+        assert all(type(v) is Fraction for v in f.values)
 
 
 class TestWalsh:
@@ -91,6 +104,27 @@ class TestWalsh:
         lhs = sum(v * v for v in f.values)
         rhs = Fraction(sum(c * c for c in fhat.values), 16)
         assert lhs == rhs
+
+
+class TestIntegerPath:
+    """The scaled-integer transforms against the double-sum oracles."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_transforms_match_oracles(self, rng, n):
+        tables = [random_rational_function(rng, n) for _ in range(3)]
+        tables += [random_function(rng, n, -50, 50), zero_function(n)]
+        for f in tables:
+            fhat, back = walsh_transform(f), inverse_walsh(f)
+            assert fhat.values == naive_walsh(f).values
+            assert back.values == naive_inverse_walsh(f).values
+            assert all(type(v) is Fraction for v in fhat.values + back.values)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_inner_product_matches_plain_sum(self, rng, n):
+        f, g = random_rational_function(rng, n), random_rational_function(rng, n)
+        expected = sum((a * b for a, b in zip(f.values, g.values)), Fraction(0)) / (1 << n)
+        got = inner_product(f, g)
+        assert got == expected and type(got) is Fraction
 
 
 class TestTensor:

@@ -22,9 +22,14 @@ class TestFractions:
             assert serialize.fraction_to_str(serialize.fraction_from_str(text)) == text
 
     def test_strict_parsing(self):
-        for bad in ("1.5", "1/0", "a", "1/-2", "", "07/", "1\n", "3/4\n"):
+        for bad in ("1.5", "1/0", "a", "1/-2", "", "07/", "1\n", "3/4\n", "+1", " 1", "1/ 2",
+                    "1_000", "--1", "-", "/2", "1/2/3", "1e3", "0x10", "3/007", "9" * 5000):
             with pytest.raises(ValueError):
                 serialize.fraction_from_str(bad)
+        for good, value in (("007", 7), ("-0", 0), ("-12/8", Fraction(-3, 2)), ("0/5", 0),
+                            ("12345678901234567890/98765432109876543210", Fraction(13717421, 109739369))):
+            got = serialize.fraction_from_str(good)
+            assert got == value == Fraction(good) and type(got) is Fraction
         with pytest.raises(ValueError):
             serialize.fraction_from_str(2)
 

@@ -22,8 +22,8 @@ from cubespec import (
     weight,
     zero_function,
 )
-from conftest import random_band_function, random_function
-from oracles import minkowski
+from conftest import LARGE_PRIME, random_band_function, random_function
+from oracles import minkowski, naive_eigen_relation, naive_inverse_walsh
 
 
 def test_character_values():
@@ -127,6 +127,41 @@ class TestEigenRelation:
             assert check_eigen_relation(f, eigenvalue_of_level(n, i))
             other = eigenvalue_of_level(n, i) - 2
             assert f.is_zero() or not check_eigen_relation(f, other)
+
+
+class TestEigenRelationOracle:
+    """check_eigen_relation against Fraction neighbour sums on rational tables."""
+
+    @staticmethod
+    def single_levels(rng):
+        # built by the oracle inverse, so no library transform is involved
+        for n in range(1, 7):
+            for i in range(n + 1):
+                masks = [u for u in range(1 << n) if weight(u) == i]
+                table = [Fraction(0)] * (1 << n)
+                for u in rng.sample(masks, min(3, len(masks))):
+                    den = rng.choice((3, 5, 7, 11, 13, 8, LARGE_PRIME))
+                    table[u] = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), den)
+                yield naive_inverse_walsh(make_function(n, table)), n - 2 * i
+
+    def test_single_levels_hold(self, rng):
+        for f, lam in self.single_levels(rng):
+            assert naive_eigen_relation(f, lam)
+            assert check_eigen_relation(f, lam)
+
+    def test_one_perturbed_vertex_fails(self, rng):
+        for f, lam in self.single_levels(rng):
+            vals = list(f.values)
+            vals[rng.randrange(len(vals))] += Fraction(1, rng.choice((3, 7, 16)))
+            g = make_function(f.n, vals)
+            assert not naive_eigen_relation(g, lam)
+            assert not check_eigen_relation(g, lam)
+
+    def test_wrong_eigenvalue_fails(self, rng):
+        for f, lam in self.single_levels(rng):
+            for other in (lam - 2, lam + 1):
+                assert not naive_eigen_relation(f, other)
+                assert not check_eigen_relation(f, other)
 
 
 class TestReduction:
