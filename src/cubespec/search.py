@@ -10,6 +10,17 @@ vector is a witness, and canonical forms under the full automorphism group
 witness lists into equivalence classes that can be matched one-to-one
 against enumerated blueprints.
 
+The support scan and the kernel extraction share one elimination engine,
+_bareiss_step.  A column is one Python int holding row k in the k-th
+fixed-width signed lane, and a step is the fraction-free Bareiss update
+(q * bp - r * c) / d with d the previous pivot (E. H. Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968).  After it every entry is a minor of the starting +-1
+matrix, so Hadamard's bound k^(k/2) on a minor of size k fixes a lane
+width that no entry outgrows; the division is exact lane by lane, and
+since a packed column is linear in its lanes, it is exact on the whole int
+even where the product overflowed a lane.  A zero test is `not column`.
+
 Scans are restricted to supports containing vertex 0, which is harmless:
 translating a function multiplies each Fourier coefficient by +-1, so band
 membership and support size are translation invariant.
@@ -58,83 +69,101 @@ def _constraint_masks_levels(n: int, levels: frozenset[int]) -> list[int]:
     return [u for u in range(1 << n) if u.bit_count() not in levels]
 
 
-def _column(rows: list[int], x: int) -> list[int]:
-    """The characters at the masks in rows, evaluated at vertex x."""
-    return [-1 if (u & x).bit_count() & 1 else 1 for u in rows]
+def _lanes(k: int, count: int) -> tuple[int, int]:
+    """Lane width and read bias for count packed lanes of minors of size <= k.
 
-
-def _columns(n: int, rows: list[int]) -> list[tuple[int, ...]]:
-    return [tuple(_column(rows, x)) for x in range(1 << n)]
-
-
-def _reduce_column(col, basis):
-    """Fraction-free reduction of an integer column against an echelon basis.
-
-    Returns None when the column is dependent on the basis, otherwise
-    (pivot_index, reduced_vector) with the integer content divided out.
+    By Hadamard's bound a k x k matrix with entries in [-1, 1] has
+    |det| <= k^(k/2), so a minor of size at most k has |m| <= isqrt(k^k) =
+    M, and a two's-complement lane of M.bit_length() + 1 bits holds all of
+    [-M, M].  Adding the bias, half a lane in every lane, makes each lane
+    of a packed column nonnegative, so a lane is read with a shift and a
+    mask and no borrow comes up from the lanes below.
     """
-    v = col
-    for pivot, b in basis:
-        c = v[pivot]
-        if c:
-            bp = b[pivot]
-            v = [x * bp - y * c for x, y in zip(v, b)]
-    g = math.gcd(*v)
-    if g == 0:
-        return None
-    if g > 1:
-        v = [x // g for x in v]
-    return next(k for k, x in enumerate(v) if x), v
+    width = math.isqrt(k**k).bit_length() + 1
+    return width, ((1 << width * count) - 1) // ((1 << width) - 1) << width - 1
 
 
-def _dfs(cols, supp, basis, cap, on_dependent):
-    """Depth-first scan of the extensions of supp by larger vertex codes.
+def _packed_columns(rows, verts, width):
+    """The character columns of verts over rows, row k in the k-th signed lane."""
+    ones = sum(1 << width * k for k in range(len(rows)))
+    return [ones - 2 * sum(1 << width * k for k, u in enumerate(rows) if (u & x).bit_count() & 1)
+            for x in verts]
 
-    basis holds the reduced columns of supp.  Each extension counts as one
-    node; a dependent one is handed to on_dependent(support, bound), which
-    returns the new size bound.  The scan descends only through supports
-    still below the bound, dependent ones included.  Every node carries its
-    later candidates with their columns reduced against its support (None
-    once dependent), so a child costs one elimination step per candidate.
-    Returns (nodes, bound).
+
+def _bareiss_step(cols, r, d, width, bias):
+    """One fraction-free elimination step of packed columns against column r.
+
+    The pivot is the lowest nonzero lane of r, with value bp; d is the
+    pivot value of the step before (1 at the first step).  Each column q
+    with c in the pivot lane becomes (q * bp - r * c) / d, the Bareiss
+    update, so after t steps every lane holds a minor of size t + 1 of the
+    starting matrix, the division is exact, and a column is zero exactly
+    when it depends on the pivot columns so far.  Packed columns are
+    linear, so lanes that overflow in the product come back in range after
+    the division.  Columns already 0 stay 0; a column with c = 0 is only
+    rescaled, to q * bp / d, so that every column stays at the same step.
+    Returns (bp, the reduced columns).
     """
+    low = (r & -r).bit_length() - 1
+    shift = low - low % width
+    mask = (1 << width) - 1
+    half = 1 << width - 1
+    bp = ((r + bias) >> shift & mask) - half
+    return bp, [q and (q * bp - r * (((q + bias) >> shift & mask) - half)) // d for q in cols]
+
+
+def _dfs(n, rows, cap, on_dependent):
+    """Depth-first scan of the supports through vertex 0 that extend {0}.
+
+    Extends by larger vertex codes; each extension counts as one node.  A
+    dependent one is handed to on_dependent(support, bound), which returns
+    the new size bound.  The scan descends only through supports still
+    below the bound, dependent ones included.  Every node carries the
+    packed columns of its later candidates reduced against its support
+    (0 once dependent), so a child costs one _bareiss_step, and a node at
+    the bound whose candidates are all independent just counts them.  The
+    lanes hold minors of size at most min(len(rows), cap).  rows must be
+    nonempty, so that {0} is independent.  Returns (nodes, bound).
+    """
+    width, bias = _lanes(min(len(rows), cap), len(rows))
     nodes = 0
     bound = cap
 
-    def visit(supp, cands):
+    def visit(supp, verts, cols, d):
         nonlocal nodes, bound
         child = len(supp) + 1
-        for k, (e, red) in enumerate(cands):
+        if child == bound and 0 not in cols:
+            nodes += len(cols)
+            return
+        for k, r in enumerate(cols):
             if child > bound:
                 return
             nodes += 1
-            ns = supp + (e,)
-            if red is None:
+            ns = supp + (verts[k],)
+            if not r:
                 bound = on_dependent(ns, bound)
                 if child < bound:
-                    visit(ns, cands[k + 1:])
+                    visit(ns, verts[k + 1:], cols[k + 1:], d)
             elif child < bound:
-                p, step = red[0], [red]
-                visit(ns, [(f, r and (_reduce_column(r[1], step) if r[1][p] else r))
-                           for f, r in cands[k + 1:]])
+                bp, rest = _bareiss_step(cols[k + 1:], r, d, width, bias)
+                visit(ns, verts[k + 1:], rest, bp)
 
-    visit(supp, [(e, _reduce_column(cols[e], basis)) for e in range(supp[-1] + 1, len(cols))])
+    root, *cols = _packed_columns(rows, range(1 << n), width)
+    bp, cols = _bareiss_step(cols, root, 1, width, bias)
+    visit((0,), range(1, 1 << n), cols, bp)
     return nodes, bound
 
 
 def _scan_from_root(n, rows, cap, on_dependent):
     """Run _dfs over the supports through vertex 0 of size at most cap.
 
-    The root support {0} counts as a node.  Its all-ones column is the
-    root basis, and it is dependent only when no rows constrain, in which
-    case the point mass at 0 goes to on_dependent and nothing is scanned.
-    Returns (nodes, bound).
+    The root support {0} counts as a node.  Its all-ones column is
+    dependent only when no rows constrain, in which case the point mass at
+    0 goes to on_dependent and nothing is scanned.  Returns (nodes, bound).
     """
-    cols = _columns(n, rows)
-    root = _reduce_column(cols[0], [])
-    if root is None:
+    if not rows:
         return 1, on_dependent((0,), cap)
-    nodes, bound = _dfs(cols, (0,), [root], cap, on_dependent)
+    nodes, bound = _dfs(n, rows, cap, on_dependent)
     return nodes + 1, bound
 
 
@@ -162,25 +191,33 @@ def _scan_supports(n, rows):
 def _kernel_basis(rows, supp):
     """Kernel of the character constraint matrix over the support columns.
 
-    Each column, extended by a unit vector that tracks how it gets
-    combined, is reduced by _reduce_column against the independent columns
-    before it.  When its constraint part reduces to zero, the extension is
-    a kernel vector; scaled to 1 at its own column it is the reduced-echelon
-    kernel vector of that free column.  Returns one tuple of Fractions per
-    kernel basis vector, entries aligned with the support positions.
+    Each packed column is extended by unit lanes, above the constraint
+    lanes, that track how it gets combined, and the columns are eliminated
+    in order with _bareiss_step; a column whose constraint lanes are zero
+    when its turn comes is not a pivot, and its unit lanes are a kernel
+    vector.  Scaled to 1 at its own column it is the reduced-echelon
+    kernel vector of that free column.  A unit lane holds, up to sign, a
+    minor of the constraint matrix of size at most the number of pivots,
+    so lanes for minors of size min(len(rows), len(supp)) hold every
+    entry.  Returns one tuple of Fractions per kernel basis vector, entries
+    aligned with the support positions.
     """
-    m = len(rows)
-    basis = []
+    m, size = len(rows), len(supp)
+    width, bias = _lanes(min(m, size), m + size)
+    top = width * m
+    mask = (1 << width) - 1
+    half = 1 << width - 1
+    cols = [c + (1 << top + width * k) for k, c in enumerate(_packed_columns(rows, supp, width))]
     kernel = []
-    for k, x in enumerate(supp):
-        col = _column(rows, x) + [0] * len(supp)
-        col[m + k] = 1
-        pivot, v = _reduce_column(col, basis)
-        if pivot < m:
-            basis.append((pivot, v))
+    d = 1
+    for k in range(size):
+        r = cols[k]
+        if r & (1 << top) - 1:
+            d, cols[k + 1:] = _bareiss_step(cols[k + 1:], r, d, width, bias)
         else:
-            lead = v[m + k]
-            kernel.append(tuple(Fraction(a, lead) for a in v[m:]))
+            v = (r + bias) >> top
+            vec = [(v >> width * t & mask) - half for t in range(size)]
+            kernel.append(tuple(Fraction(a, vec[k]) for a in vec))
     return kernel
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .functions import (
     MAX_DIMENSION,
     VertexFunction,
+    _butterfly,
     _scaled_ints,
     inverse_walsh,
     restrict,
@@ -64,10 +65,13 @@ def eigenvalue_of_level(n: int, i: int) -> int:
 
 
 def spectrum(f: VertexFunction) -> SpectrumSet:
-    """Levels with a nonzero Fourier coefficient; empty for the zero function."""
-    fhat = walsh_transform(f)
-    levels = frozenset(weight(u) for u, c in enumerate(fhat.values) if c != 0)
-    return SpectrumSet(f.n, levels)
+    """Levels with a nonzero Fourier coefficient; empty for the zero function.
+
+    The zero tests run on the transform of the table scaled to integers,
+    so no Fraction is built.
+    """
+    coeffs = _butterfly(_scaled_ints(f.values)[0])
+    return SpectrumSet(f.n, frozenset(weight(u) for u, c in enumerate(coeffs) if c))
 
 
 def level_project(f: VertexFunction, i: int) -> VertexFunction:
@@ -84,8 +88,8 @@ def in_band(f: VertexFunction, i: int, j: int) -> bool:
     """True iff every Fourier coefficient at weight outside [i, j] is zero."""
     if not 0 <= i <= j <= f.n:
         raise ValueError(f"invalid band [{i}, {j}] for n={f.n}")
-    fhat = walsh_transform(f)
-    return all(c == 0 for u, c in enumerate(fhat.values) if not i <= weight(u) <= j)
+    coeffs = _butterfly(_scaled_ints(f.values)[0])
+    return not any(c for u, c in enumerate(coeffs) if not i <= weight(u) <= j)
 
 
 def check_eigen_relation(f: VertexFunction, lam: int) -> bool:

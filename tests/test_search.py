@@ -88,31 +88,65 @@ class TestParityDuality:
 
 
 class TestKernelBasis:
+    @staticmethod
+    def check_against_oracle(rows, supp):
+        matrix = [[sign(u, x) for x in supp] for u in rows]
+        kernel = _kernel_basis(rows, supp)
+        assert len(kernel) == len(supp) - fraction_rank(matrix)
+        assert fraction_rank(kernel) == len(kernel)
+        for vec in kernel:
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+        return kernel
+
     def test_matches_fraction_rank_oracle(self, rng):
         dims = set()
         for _ in range(300):
             n = rng.randrange(1, 5)
             rows = rng.sample(range(1 << n), rng.randrange(0, (1 << n) + 1))
             supp = tuple(sorted(rng.sample(range(1 << n), rng.randrange(1, (1 << n) + 1))))
-            matrix = [[sign(u, x) for x in supp] for u in rows]
-            kernel = _kernel_basis(rows, supp)
-            assert len(kernel) == len(supp) - fraction_rank(matrix)
-            assert fraction_rank(kernel) == len(kernel)
-            for vec in kernel:
-                assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
-            dims.add(len(kernel))
+            dims.add(len(self.check_against_oracle(rows, supp)))
         assert 0 in dims and max(dims) >= 4
+
+    def test_sylvester_hadamard_has_no_kernel(self):
+        # All 16 characters on all 16 vertices of H(4): the Sylvester-Hadamard
+        # matrix, whose determinant 16^8 meets the Hadamard bound the lanes
+        # are sized by.
+        assert _kernel_basis(range(16), range(16)) == []
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_pivot_at_the_hadamard_bound_is_read(self, n):
+        # With half = 2^(n-1), rows u or u ^ half for u < half are a
+        # Sylvester-Hadamard matrix on the vertices below half, so pivot
+        # number half is +-half^(half/2), the largest value a lane holds,
+        # and the columns of the vertices from half on are reduced with it.
+        # Flipping the odd-weight rows keeps those columns from being
+        # multiples of the ones below half.
+        half = 1 << n - 1
+        rows = [u ^ half if u.bit_count() & 1 else u for u in range(half)]
+        assert len(self.check_against_oracle(rows, range(2 * half))) == half
+
+    def test_n5_supports_match_fraction_rank_oracle(self, rng):
+        for _ in range(40):
+            rows = rng.sample(range(32), rng.randint(1, 32))
+            supp = tuple(sorted(rng.sample(range(32), rng.randint(1, 32))))
+            self.check_against_oracle(rows, supp)
 
 
 class TestDfs:
     def test_matches_fraction_rank_oracle(self, rng):
         # The hook gets exactly the supports whose last column depends on
         # the columns before it.  Rows [1, 2, 4] at n = 3: every residual
-        # is live at the root, and each one turns None below a third vertex.
-        cases = [(3, [1, 2, 4], 8)]
+        # is live at the root, and each one reduces to zero below a third
+        # vertex.  Rows [1, 2, 4, 8] at n = 4: the columns are every +-1
+        # vector of length 4, so residuals reduce to zero at the fourth
+        # pivot, and some of those pivots are +16, the largest value a lane
+        # holds.
+        cases = [(3, [1, 2, 4], 8), (4, [1, 2, 4, 8], 5)]
         for _ in range(200):
             n = rng.randint(1, 3)
             cases.append((n, rng.sample(range(1 << n), rng.randint(1, 1 << n)), rng.randint(2, 1 << n)))
+        for n, top_cap in [(4, 5)] * 6 + [(5, 3)] * 2:
+            cases.append((n, rng.sample(range(1 << n), rng.randint(1, 1 << n)), rng.randint(2, top_cap)))
         turned_none = 0
         for n, rows, cap in cases:
             @cache
@@ -125,8 +159,7 @@ class TestDfs:
                 seen.append(supp)
                 return bound
 
-            cols = search._columns(n, rows)
-            nodes, bound = search._dfs(cols, (0,), [search._reduce_column(cols[0], [])], cap, hook)
+            nodes, bound = search._dfs(n, rows, cap, hook)
             supports = [(0, *rest) for k in range(1, cap) for rest in combinations(range(1, 1 << n), k)]
             assert (nodes, bound) == (len(supports), cap)
             assert sorted(seen) == sorted(s for s in supports if rank(s) == rank(s[:-1])), rows

@@ -22,8 +22,8 @@ from cubespec import (
     weight,
     zero_function,
 )
-from conftest import LARGE_PRIME, random_band_function, random_function
-from oracles import minkowski, naive_eigen_relation, naive_inverse_walsh
+from conftest import LARGE_PRIME, random_band_function, random_function, random_rational_function
+from oracles import minkowski, naive_eigen_relation, naive_inverse_walsh, naive_walsh
 
 
 def test_character_values():
@@ -179,6 +179,19 @@ class TestReduction:
 
     def test_zero_function(self):
         assert reduction_check(zero_function(3), 1, 2, 2)
+
+
+def test_spectrum_and_in_band_match_the_fraction_transform_oracle(rng):
+    # Both test the integer coefficients of the scaled table against zero;
+    # the oracle tests the Fraction double-sum transform.
+    for k in range(60):
+        n = rng.randrange(1, 6)
+        f = random_band_function(rng, n, 0, n) if k % 2 else random_rational_function(rng, n)
+        coeffs = list(enumerate(naive_walsh(f).values))
+        assert spectrum(f).levels == {weight(u) for u, c in coeffs if c != 0}
+        i = rng.randrange(n + 1)
+        j = rng.randrange(i, n + 1)
+        assert in_band(f, i, j) == all(c == 0 for u, c in coeffs if not i <= weight(u) <= j)
 
 
 def test_spectrum_additivity(rng):
