@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .functions import MAX_DIMENSION, VertexFunction, tensor
-from .spectral import SpectrumSet
+from .spectral import SpectrumSet, _check_band
 
 LOWER = "LOWER"
 UPPER = "UPPER"
@@ -161,8 +161,7 @@ def enumerate_blueprints(n: int, i: int, j: int) -> list[Blueprint]:
     boundary i + j = n both characterizations coincide part-for-part; the
     LOWER form is returned.
     """
-    if not 0 <= i <= j <= n:
-        raise ValueError(f"invalid band [{i}, {j}] for n={n}")
+    _check_band(n, i, j)
     if i + j >= n:
         case, target, ell_min = LOWER, i, n - j
     else:

@@ -20,6 +20,8 @@ matrix, so Hadamard's bound k^(k/2) on a minor of size k fixes a lane
 width that no entry outgrows; the division is exact lane by lane, and
 since a packed column is linear in its lanes, it is exact on the whole int
 even where the product overflowed a lane.  A zero test is `not column`.
+Kernel vectors, their combinations and their level tests stay Python
+ints; Fractions are built only for the VertexFunctions handed back.
 
 Scans are restricted to supports containing vertex 0, which is harmless:
 translating a function multiplies each Fourier coefficient by +-1, so band
@@ -35,8 +37,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .constructions import Blueprint, build, enumerate_blueprints
-from .functions import VertexFunction, support, support_size
-from .spectral import spectrum
+from .functions import VertexFunction, support
+from .spectral import SpectrumSet, _check_band, _levels
 
 EXHAUSTIVE_LIMIT = 5
 CLASSIFY_LIMIT = 4
@@ -54,11 +56,6 @@ class LimitError(ValueError):
         super().__init__(template.format(f"{keyword}=True"))
         self.template = template
         self.keyword = keyword
-
-
-def _check_band_args(n: int, i: int, j: int) -> None:
-    if not 0 <= i <= j <= n:
-        raise ValueError(f"invalid band [{i}, {j}] for n={n}")
 
 
 def _constraint_masks_band(n: int, i: int, j: int) -> list[int]:
@@ -199,8 +196,10 @@ def _kernel_basis(rows, supp):
     kernel vector of that free column.  A unit lane holds, up to sign, a
     minor of the constraint matrix of size at most the number of pivots,
     so lanes for minors of size min(len(rows), len(supp)) hold every
-    entry.  Returns one tuple of Fractions per kernel basis vector, entries
-    aligned with the support positions.
+    entry.  Returns these vectors as int lists aligned with the support,
+    each scaled to one common L > 0 at its own column (the lcm of the
+    own-lane values): exactly L times the reduced-echelon vectors, so their
+    combinations are those of the echelon basis.
     """
     m, size = len(rows), len(supp)
     width, bias = _lanes(min(m, size), m + size)
@@ -208,7 +207,7 @@ def _kernel_basis(rows, supp):
     mask = (1 << width) - 1
     half = 1 << width - 1
     cols = [c + (1 << top + width * k) for k, c in enumerate(_packed_columns(rows, supp, width))]
-    kernel = []
+    free = []
     d = 1
     for k in range(size):
         r = cols[k]
@@ -216,28 +215,33 @@ def _kernel_basis(rows, supp):
             d, cols[k + 1:] = _bareiss_step(cols[k + 1:], r, d, width, bias)
         else:
             v = (r + bias) >> top
-            vec = [(v >> width * t & mask) - half for t in range(size)]
-            kernel.append(tuple(Fraction(a, vec[k]) for a in vec))
-    return kernel
+            free.append((k, [(v >> width * t & mask) - half for t in range(size)]))
+    scale = math.lcm(*(vec[k] for k, vec in free))
+    return [[a * (scale // vec[k]) for a in vec] for k, vec in free]
 
 
-def _place(n, supp, coeffs) -> VertexFunction:
-    vals = [Fraction(0)] * (1 << n)
-    for x, c in zip(supp, coeffs):
-        vals[x] = Fraction(c)
-    return VertexFunction(n, tuple(vals))
+def _table(n, supp, vec) -> list[int]:
+    """The dense table on H(n) holding vec on the support and 0 elsewhere."""
+    vals = [0] * (1 << n)
+    for x, c in zip(supp, vec):
+        vals[x] = c
+    return vals
 
 
-def _normalize_witness(n, supp, coeffs) -> VertexFunction:
-    """Scale a kernel vector to integers with content 1 and a positive lead."""
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
+def _normalize_witness(n, supp, ints) -> VertexFunction:
+    """Divide an integer kernel vector by its content, signed to make the lead positive."""
     g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return _place(n, supp, ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return VertexFunction(n, tuple(_table(n, supp, [x // g for x in ints])))
+
+
+def _witness(n, rows, supp, notes) -> VertexFunction:
+    """The normalized first kernel vector of supp; notes a kernel dimension other than 1."""
+    kernel = _kernel_basis(rows, supp)
+    if len(kernel) != 1:
+        notes.append(f"kernel dimension {len(kernel)} at support {supp}")
+    return _normalize_witness(n, supp, kernel[0])
 
 
 def _candidate_less(a, b):
@@ -384,18 +388,14 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport
     colexicographically first minimal support.  Refuses n beyond the
     exhaustive limit unless unsafe is set.
     """
-    _check_band_args(n, i, j)
+    _check_band(n, i, j)
     if n > EXHAUSTIVE_LIMIT and not unsafe:
         raise LimitError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs {{}}", "unsafe")
     start = time.perf_counter()
     rows = _constraint_masks_band(n, i, j)
     size, supports, nodes = _scan_supports(n, rows)
-    pick = supports[0]
-    kernel = _kernel_basis(rows, pick)
     notes = []
-    if len(kernel) != 1:
-        notes.append(f"kernel dimension {len(kernel)} at support {pick}")
-    witness = _normalize_witness(n, pick, kernel[0])
+    witness = _witness(n, rows, supports[0], notes)
     return SearchReport(
         n=n, i=i, j=j,
         min_support=size,
@@ -407,7 +407,7 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport
 
 
 def _exact_combination(n, supp, kernel, target):
-    """A kernel member whose spectrum is exactly `target`, or None.
+    """An integer kernel vector whose spectrum is exactly `target`, or None.
 
     Any kernel member's spectrum is contained in target by construction,
     so exactness is achievable iff every target level is hit by some basis
@@ -416,21 +416,17 @@ def _exact_combination(n, supp, kernel, target):
     """
     reach = frozenset()
     for vec in kernel:
-        reach |= spectrum(_place(n, supp, vec)).levels
+        reach |= _levels(_table(n, supp, vec))
         if reach == target:
             break
     if reach != target:
         return None
     if len(kernel) == 1:
-        return _place(n, supp, kernel[0])
+        return kernel[0]
     for t in range(1, len(target) * len(kernel) + 2):
-        combo = [
-            sum((Fraction(t) ** m * vec[c] for m, vec in enumerate(kernel)), Fraction(0))
-            for c in range(len(supp))
-        ]
-        f = _place(n, supp, combo)
-        if spectrum(f).levels == target:
-            return f
+        combo = [sum(t**m * vec[c] for m, vec in enumerate(kernel)) for c in range(len(supp))]
+        if _levels(_table(n, supp, combo)) == target:
+            return combo
     raise RuntimeError("generic combination search exhausted; this should not happen")
 
 
@@ -448,11 +444,11 @@ def min_support_exact_spectrum(
     With max_size set, reports no witness (min_support None) when nothing
     achieves exactness within the cap.
     """
-    target = frozenset(levels)
+    target = SpectrumSet(n, levels).levels
     if not target:
         raise ValueError("levels must be nonempty")
-    if any(not 0 <= a <= n for a in target):
-        raise ValueError(f"levels {sorted(target)} out of range 0..{n}")
+    if max_size is not None and (type(max_size) is not int or max_size < 0):
+        raise ValueError(f"max_size must be a nonnegative int, got {max_size!r}")
     if n > EXHAUSTIVE_LIMIT and not unsafe:
         raise LimitError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs {{}}", "unsafe")
     start = time.perf_counter()
@@ -462,13 +458,13 @@ def min_support_exact_spectrum(
     results: dict[int, list[VertexFunction]] = {}
 
     def handle(supp, bound):
-        w = _exact_combination(n, supp, _kernel_basis(rows, supp), target)
-        if w is None:
+        combo = _exact_combination(n, supp, _kernel_basis(rows, supp), target)
+        if combo is None:
             return bound
-        wsize = support_size(w)
+        wsize = len(combo) - combo.count(0)
         if wsize > bound:
             return bound
-        results.setdefault(wsize, []).append(w)
+        results.setdefault(wsize, []).append(_normalize_witness(n, supp, combo))
         return wsize
 
     nodes, _ = _scan_from_root(n, rows, cap, handle)
@@ -481,12 +477,7 @@ def min_support_exact_spectrum(
             elapsed=time.perf_counter() - start, nodes_examined=nodes,
         )
     msize = min(results)
-    winner = min(
-        results[msize],
-        key=lambda w: (_colex_key(support(w)), w.values),
-    )
-    wsupp = tuple(sorted(support(winner)))
-    witness = _normalize_witness(n, wsupp, [winner.values[x] for x in wsupp])
+    witness = min(results[msize], key=lambda w: (_colex_key(support(w)), w.values))
     return SearchReport(
         n=n, levels=tuple(sorted(target)),
         min_support=msize, witness=witness,
@@ -504,7 +495,7 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     equals the sharp bound and the match is a bijection with no extras and
     no misses.
     """
-    _check_band_args(n, i, j)
+    _check_band(n, i, j)
     limit = 5 if extended else CLASSIFY_LIMIT
     if n > limit:
         if extended:
@@ -523,10 +514,7 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     canon_map: dict[tuple, VertexFunction] = {}
     first_witness = None
     for supp in supports:
-        kernel = _kernel_basis(rows, supp)
-        if len(kernel) != 1:
-            notes.append(f"kernel dimension {len(kernel)} at support {supp}")
-        w = _normalize_witness(n, supp, kernel[0])
+        w = _witness(n, rows, supp, notes)
         if first_witness is None:
             first_witness = w
         cf = canonical_form(w)

@@ -17,21 +17,31 @@ from .functions import (
     VertexFunction,
     _butterfly,
     _scaled_ints,
-    inverse_walsh,
     restrict,
-    walsh_transform,
     weight,
 )
 
 
+def _check_band(n: int, i: int, j: int) -> None:
+    if not 0 <= i <= j <= n:
+        raise ValueError(f"invalid band [{i}, {j}] for n={n}")
+
+
 @dataclass(frozen=True)
 class SpectrumSet:
-    """Set of eigenvalue levels present in a function, with its ambient n."""
+    """Set of eigenvalue levels present in a function, with its ambient n.
+
+    Levels are stored as a frozenset, and each must be an int in 0..n.
+    """
 
     n: int
     levels: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "levels", frozenset(self.levels))
+        for i in self.levels:
+            if type(i) is not int:
+                raise ValueError(f"level {i!r} is {type(i).__name__}, expected int")
         if any(not 0 <= i <= self.n for i in self.levels):
             raise ValueError(f"levels {sorted(self.levels)} out of range 0..{self.n}")
 
@@ -64,32 +74,34 @@ def eigenvalue_of_level(n: int, i: int) -> int:
     return n - 2 * i
 
 
-def spectrum(f: VertexFunction) -> SpectrumSet:
-    """Levels with a nonzero Fourier coefficient; empty for the zero function.
+def _levels(ints: list[int]) -> frozenset[int]:
+    """Weights of the nonzero coefficients of an int table, transformed in place."""
+    return frozenset(u.bit_count() for u, c in enumerate(_butterfly(ints)) if c)
 
-    The zero tests run on the transform of the table scaled to integers,
-    so no Fraction is built.
-    """
-    coeffs = _butterfly(_scaled_ints(f.values)[0])
-    return SpectrumSet(f.n, frozenset(weight(u) for u, c in enumerate(coeffs) if c))
+
+def spectrum(f: VertexFunction) -> SpectrumSet:
+    """Levels with a nonzero Fourier coefficient; empty for the zero function."""
+    return SpectrumSet(f.n, _levels(_scaled_ints(f.values)[0]))
 
 
 def level_project(f: VertexFunction, i: int) -> VertexFunction:
-    """Component of f in the level-i eigenspace; the projections sum to f."""
+    """Component of f in the level-i eigenspace; the projections sum to f.
+
+    Transforms, masks and transforms back the table scaled to ints by the
+    lcm d of its denominators, then divides by d * 2^n.
+    """
     if not 0 <= i <= f.n:
         raise ValueError(f"level {i} out of range 0..{f.n}")
-    fhat = walsh_transform(f)
-    zero = Fraction(0)
-    masked = tuple(c if weight(u) == i else zero for u, c in enumerate(fhat.values))
-    return inverse_walsh(VertexFunction(f.n, masked))
+    ints, d = _scaled_ints(f.values)
+    masked = [c if u.bit_count() == i else 0 for u, c in enumerate(_butterfly(ints))]
+    d <<= f.n
+    return VertexFunction(f.n, tuple(Fraction(c, d) for c in _butterfly(masked)))
 
 
 def in_band(f: VertexFunction, i: int, j: int) -> bool:
     """True iff every Fourier coefficient at weight outside [i, j] is zero."""
-    if not 0 <= i <= j <= f.n:
-        raise ValueError(f"invalid band [{i}, {j}] for n={f.n}")
-    coeffs = _butterfly(_scaled_ints(f.values)[0])
-    return not any(c for u, c in enumerate(coeffs) if not i <= weight(u) <= j)
+    _check_band(f.n, i, j)
+    return all(i <= a <= j for a in _levels(_scaled_ints(f.values)[0]))
 
 
 def check_eigen_relation(f: VertexFunction, lam: int) -> bool:
@@ -114,8 +126,7 @@ def reduction_check(f: VertexFunction, i: int, j: int, r: int) -> bool:
     [i-1, j-1], f0 + f1 in band [i, j], and each slice in band [i-1, j],
     all on H(n-1) with bands clipped to [0, n-1].
     """
-    if not 0 <= i <= j <= f.n:
-        raise ValueError(f"invalid band [{i}, {j}] for n={f.n}")
+    _check_band(f.n, i, j)
     m = f.n - 1
     f0 = restrict(f, r, 0)
     f1 = restrict(f, r, 1)

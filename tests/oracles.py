@@ -2,9 +2,10 @@
 
 Everything here is written in the most literal O(4^n)-ish style on purpose
 so it shares no code path with the library: double-sum transforms,
-subset-XOR algebraic coefficients, explicit face scans, and an
-all-subsets rank search that does not use the library's pruning, and a
-canonical form that builds and compares every dense image table.
+subset-XOR algebraic coefficients, explicit face scans, a Gauss-Jordan
+kernel, an all-subsets rank search that does not use the library's
+pruning, and a canonical form that builds and compares every dense image
+table.
 """
 
 from __future__ import annotations
@@ -115,6 +116,41 @@ def fraction_rank(matrix) -> int:
         rank += 1
         row += 1
     return rank
+
+
+def rref_kernel(matrix, ncols: int) -> list[list[Fraction]]:
+    """Reduced-echelon kernel basis by plain Fraction Gauss-Jordan.
+
+    One vector per free column, in column order: 1 at its own free column,
+    0 at every other free column, and minus the reduced row entry at each
+    pivot column.
+    """
+    m = [[Fraction(v) for v in row] for row in matrix]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        sel = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if sel is None:
+            continue
+        m[row], m[sel] = m[sel], m[row]
+        pv = m[row][col]
+        m[row] = [a / pv for a in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                c = m[r][col]
+                m[r] = [a - c * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -m[r][free]
+        basis.append(vec)
+    return basis
 
 
 def naive_min_support(n: int, i: int, j: int) -> int:

@@ -24,7 +24,7 @@ from cubespec import (
 )
 from cubespec import search
 from cubespec.search import _kernel_basis, _max_min_xor
-from oracles import fraction_rank, naive_canonical_form, naive_min_support, sign
+from oracles import fraction_rank, naive_canonical_form, naive_min_support, rref_kernel, sign
 
 
 class TestMinSupport:
@@ -95,7 +95,16 @@ class TestKernelBasis:
         assert len(kernel) == len(supp) - fraction_rank(matrix)
         assert fraction_rank(kernel) == len(kernel)
         for vec in kernel:
+            assert all(type(a) is int for a in vec)
             assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+        # Every vector is one common positive L times the reduced-echelon
+        # vector of its free column.
+        scales = set()
+        for vec, ref in zip(kernel, rref_kernel(matrix, len(supp))):
+            own = ref.index(1)
+            scales.add(vec[own])
+            assert [Fraction(a, vec[own]) for a in vec] == ref
+        assert len(scales) <= 1 and all(L > 0 for L in scales)
         return kernel
 
     def test_matches_fraction_rank_oracle(self, rng):
@@ -204,6 +213,16 @@ class TestExactSpectrum:
             min_support_exact_spectrum(3, set())
         with pytest.raises(ValueError):
             min_support_exact_spectrum(3, {4})
+
+    @pytest.mark.parametrize("levels", [[1.0], [True], ["1"]], ids=["float", "bool", "str"])
+    def test_rejects_non_int_levels(self, levels):
+        with pytest.raises(ValueError, match="expected int"):
+            min_support_exact_spectrum(3, levels)
+
+    @pytest.mark.parametrize("max_size", [-1, 2.5, True, "3"], ids=["negative", "float", "bool", "str"])
+    def test_rejects_bad_size_cap(self, max_size):
+        with pytest.raises(ValueError, match="max_size must be a nonnegative int"):
+            min_support_exact_spectrum(3, [1], max_size=max_size)
 
 
 class TestCanonicalForm:

@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,11 @@ from cubespec import (
     check_eigen_relation,
     constant_function,
     eigenvalue_of_level,
+    enumerate_blueprints,
     in_band,
     level_project,
     make_function,
+    min_support,
     parity_twist,
     phi,
     point_mass,
@@ -18,10 +22,12 @@ from cubespec import (
     reduction_check,
     spectrum,
     tensor,
+    verify_classification,
     walsh_transform,
     weight,
     zero_function,
 )
+from cubespec.spectral import _levels
 from conftest import LARGE_PRIME, random_band_function, random_function, random_rational_function
 from oracles import minkowski, naive_eigen_relation, naive_inverse_walsh, naive_walsh
 
@@ -56,6 +62,30 @@ def test_spectrum_set_validation():
         SpectrumSet(2, frozenset({3}))
 
 
+def test_spectrum_set_stores_a_frozenset():
+    s = SpectrumSet(3, [1, 3, 1])
+    assert s.levels == frozenset({1, 3}) and s.sorted_levels == (1, 3)
+    assert hash(s) == hash(SpectrumSet(3, {3, 1}))
+
+
+@pytest.mark.parametrize("level", [1.0, True, Fraction(1), "1"], ids=["float", "bool", "Fraction", "str"])
+def test_spectrum_set_rejects_non_int_levels(level):
+    message = re.escape(f"level {level!r} is {type(level).__name__}, expected int")
+    with pytest.raises(ValueError, match=message):
+        SpectrumSet(2, frozenset({0, level}))
+
+
+def test_levels_match_the_fraction_transform_oracle(rng):
+    for n in range(8):
+        for k in range(4):
+            f = random_band_function(rng, n, 0, n) if k % 2 else random_rational_function(rng, n)
+            d = math.lcm(*(v.denominator for v in f.values))
+            ints = [int(v * d) for v in f.values]
+            expected = {weight(u) for u, c in enumerate(naive_walsh(f).values) if c != 0}
+            assert _levels(ints) == expected
+    assert _levels([0] * 8) == frozenset()
+
+
 class TestLevelProject:
     def test_disjoint_levels_split(self):
         f = phi(1) + constant_function(1, 1)
@@ -72,6 +102,16 @@ class TestLevelProject:
         fhat = walsh_transform(proj)
         nonzero = {u for u, c in enumerate(fhat.values) if c != 0}
         assert nonzero == {0b011, 0b101, 0b110}
+
+    def test_matches_the_oracle_transforms_on_rational_tables(self, rng):
+        for n in range(8):
+            f = random_rational_function(rng, n)
+            fhat = naive_walsh(f)
+            for i in range(n + 1):
+                masked = [c if weight(u) == i else 0 for u, c in enumerate(fhat.values)]
+                proj = level_project(f, i)
+                assert all(type(v) is Fraction for v in proj.values)
+                assert proj.values == naive_inverse_walsh(make_function(n, masked)).values
 
     def test_projections_sum_to_f_and_satisfy_eigen_relation(self, rng):
         f = random_function(rng, 4)
@@ -102,6 +142,16 @@ class TestInBand:
     def test_invalid_band(self):
         with pytest.raises(ValueError):
             in_band(phi(2), 2, 1)
+
+
+@pytest.mark.parametrize("i,j", [(2, 1), (-1, 1), (1, 3)])
+def test_every_band_check_gives_one_message(i, j):
+    message = f"^invalid band \\[{i}, {j}\\] for n=2$"
+    for call in (lambda: in_band(phi(2), i, j), lambda: reduction_check(phi(2), i, j, 1),
+                 lambda: enumerate_blueprints(2, i, j), lambda: min_support(2, i, j),
+                 lambda: verify_classification(2, i, j)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestEigenRelation:
