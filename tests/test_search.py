@@ -371,3 +371,27 @@ class TestVerifyClassification:
             verify_classification(5, 3, 4)
         with pytest.raises(ValueError):
             verify_classification(6, 3, 4, extended=True)
+
+    # Band [2, 3] at n = 4 has two classes, matched by blueprints
+    # a = ((), (2, 2), 0) at class 1 and b = ((1,), (2,), 1) at class 0;
+    # c = ((1, 1), (), 2) from band [2, 4] lies outside the band.
+    @pytest.mark.parametrize("pick,notes,indices", [
+        ("a", ("2 search classes vs 1 blueprints",), [1]),
+        ("abb", ("distinct blueprints collided in canonical form",
+                 "2 search classes vs 3 blueprints"), [1, 0, 0]),
+        ("ac", ("blueprint LOWER odd=(1, 1) even=() r=2 matches no search class",), [1, None]),
+        ("caa", ("blueprint LOWER odd=(1, 1) even=() r=2 matches no search class",
+                 "distinct blueprints collided in canonical form",
+                 "2 search classes vs 3 blueprints"), [None, 1, 1]),
+    ], ids=["dropped", "duplicated", "foreign", "all-three"])
+    def test_blueprint_mismatch_notes(self, monkeypatch, pick, notes, indices):
+        a, b = enumerate_blueprints(4, 2, 3)
+        named = {"a": a, "b": b, "c": enumerate_blueprints(4, 2, 4)[2]}
+        assert named["c"].odd_parts == (1, 1) and named["c"].remainder == 2
+        monkeypatch.setattr(search, "enumerate_blueprints", lambda n, i, j: [named[k] for k in pick])
+        report = verify_classification(4, 2, 3)
+        assert report.ok is False
+        assert report.notes == notes
+        assert [idx for _, idx in report.matched_blueprints] == indices
+        assert [bp for bp, _ in report.matched_blueprints] == [named[k] for k in pick]
+        assert len(report.classes_found) == 2 and report.min_support == 4
