@@ -58,11 +58,13 @@ class LimitError(ValueError):
         self.keyword = keyword
 
 
-def _constraint_masks_band(n: int, i: int, j: int) -> list[int]:
-    return [u for u in range(1 << n) if not i <= u.bit_count() <= j]
+def _check_exhaustive(n: int, unsafe: bool) -> None:
+    if n > EXHAUSTIVE_LIMIT and not unsafe:
+        raise LimitError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs {{}}", "unsafe")
 
 
-def _constraint_masks_levels(n: int, levels: frozenset[int]) -> list[int]:
+def _rows(n: int, levels) -> list[int]:
+    """The constraint rows: every mask whose weight is not among levels."""
     return [u for u in range(1 << n) if u.bit_count() not in levels]
 
 
@@ -110,20 +112,25 @@ def _bareiss_step(cols, r, d, width, bias):
 
 
 def _dfs(n, rows, cap, on_dependent):
-    """Depth-first scan of the supports through vertex 0 that extend {0}.
+    """Depth-first scan of the supports through vertex 0 of size at most cap.
 
-    Extends by larger vertex codes; each extension counts as one node.  A
+    The root {0} counts as one node.  Its all-ones column is dependent only
+    when there are no rows; then the point mass at 0 goes straight to
+    on_dependent and nothing else is scanned.  Otherwise supports extend
+    by larger vertex codes, and each extension counts as one node.  A
     dependent one is handed to on_dependent(support, bound), which returns
     the new size bound.  The scan descends only through supports still
     below the bound, dependent ones included.  Every node carries the
     packed columns of its later candidates reduced against its support
     (0 once dependent), so a child costs one _bareiss_step, and a node at
     the bound whose candidates are all independent just counts them.  The
-    lanes hold minors of size at most min(len(rows), cap).  rows must be
-    nonempty, so that {0} is independent.  Returns (nodes, bound).
+    lanes hold minors of size at most min(len(rows), cap).  Returns
+    (nodes, bound).
     """
+    if not rows:
+        return 1, on_dependent((0,), cap)
     width, bias = _lanes(min(len(rows), cap), len(rows))
-    nodes = 0
+    nodes = 1
     bound = cap
 
     def visit(supp, verts, cols, d):
@@ -151,19 +158,6 @@ def _dfs(n, rows, cap, on_dependent):
     return nodes, bound
 
 
-def _scan_from_root(n, rows, cap, on_dependent):
-    """Run _dfs over the supports through vertex 0 of size at most cap.
-
-    The root support {0} counts as a node.  Its all-ones column is
-    dependent only when no rows constrain, in which case the point mass at
-    0 goes to on_dependent and nothing is scanned.  Returns (nodes, bound).
-    """
-    if not rows:
-        return 1, on_dependent((0,), cap)
-    nodes, bound = _dfs(n, rows, cap, on_dependent)
-    return nodes + 1, bound
-
-
 def _colex_key(supp):
     return tuple(sorted(supp, reverse=True))
 
@@ -173,16 +167,19 @@ def _scan_supports(n, rows):
 
     Returns (min_size, supports at min_size in colexicographic order,
     nodes_examined).  A dependent support is recorded and never extended,
-    since recording lowers the bound to its size.
+    since recording lowers the bound to its size; sizes only fall, so
+    found holds the supports at the current bound.
     """
-    found: dict[int, list[tuple[int, ...]]] = {}
+    found: list[tuple[int, ...]] = []
 
     def record(supp, bound):
-        found.setdefault(len(supp), []).append(supp)
+        if len(supp) < bound:
+            found.clear()
+        found.append(supp)
         return len(supp)
 
-    nodes, size = _scan_from_root(n, rows, 1 << n, record)
-    return size, sorted(found[size], key=_colex_key), nodes
+    nodes, size = _dfs(n, rows, 1 << n, record)
+    return size, sorted(found, key=_colex_key), nodes
 
 
 def _kernel_basis(rows, supp):
@@ -349,8 +346,7 @@ def canonical_form(f: VertexFunction) -> VertexFunction:
 
 def equivalent(f: VertexFunction, g: VertexFunction) -> bool:
     """Whether g equals c * (f o pi) for some automorphism pi and scale c."""
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
+    f._check_same_cube(g)
     sf = next((x for x, v in enumerate(f.values) if v != 0), None)
     sg = next((x for x, v in enumerate(g.values) if v != 0), None)
     if sf is None or sg is None:
@@ -389,10 +385,9 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport
     exhaustive limit unless unsafe is set.
     """
     _check_band(n, i, j)
-    if n > EXHAUSTIVE_LIMIT and not unsafe:
-        raise LimitError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs {{}}", "unsafe")
+    _check_exhaustive(n, unsafe)
     start = time.perf_counter()
-    rows = _constraint_masks_band(n, i, j)
+    rows = _rows(n, range(i, j + 1))
     size, supports, nodes = _scan_supports(n, rows)
     notes = []
     witness = _witness(n, rows, supports[0], notes)
@@ -439,7 +434,8 @@ def min_support_exact_spectrum(
     allowed coefficient levels, but a feasible support must additionally
     admit a kernel combination hitting every level.  Exactness is not
     inherited by subsets, so the scan descends through dependent supports
-    as well.
+    as well.  The witness is the least by (size, colexicographic support,
+    values).
 
     With max_size set, reports no witness (min_support None) when nothing
     achieves exactness within the cap.
@@ -449,38 +445,33 @@ def min_support_exact_spectrum(
         raise ValueError("levels must be nonempty")
     if max_size is not None and (type(max_size) is not int or max_size < 0):
         raise ValueError(f"max_size must be a nonnegative int, got {max_size!r}")
-    if n > EXHAUSTIVE_LIMIT and not unsafe:
-        raise LimitError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs {{}}", "unsafe")
+    _check_exhaustive(n, unsafe)
     start = time.perf_counter()
-    rows = _constraint_masks_levels(n, target)
+    rows = _rows(n, target)
     nvert = 1 << n
     cap = min(max_size, nvert) if max_size is not None else nvert
-    results: dict[int, list[VertexFunction]] = {}
+    best = None  # (size, colex support, values) of the best witness so far
 
     def handle(supp, bound):
+        nonlocal best
         combo = _exact_combination(n, supp, _kernel_basis(rows, supp), target)
         if combo is None:
             return bound
         wsize = len(combo) - combo.count(0)
         if wsize > bound:
             return bound
-        results.setdefault(wsize, []).append(_normalize_witness(n, supp, combo))
+        w = _normalize_witness(n, supp, combo)
+        key = (wsize, _colex_key(support(w)), w.values)
+        if best is None or key < best:
+            best = key
         return wsize
 
-    nodes, _ = _scan_from_root(n, rows, cap, handle)
-
-    if not results:
-        return SearchReport(
-            n=n, levels=tuple(sorted(target)),
-            min_support=None, witness=None,
-            notes=("no witness within the size cap",),
-            elapsed=time.perf_counter() - start, nodes_examined=nodes,
-        )
-    msize = min(results)
-    witness = min(results[msize], key=lambda w: (_colex_key(support(w)), w.values))
+    nodes, _ = _dfs(n, rows, cap, handle)
+    size, _, values = best or (None, None, None)
     return SearchReport(
         n=n, levels=tuple(sorted(target)),
-        min_support=msize, witness=witness,
+        min_support=size, witness=None if best is None else VertexFunction(n, values),
+        notes=() if best else ("no witness within the size cap",),
         elapsed=time.perf_counter() - start, nodes_examined=nodes,
     )
 
@@ -496,14 +487,14 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     no misses.
     """
     _check_band(n, i, j)
-    limit = 5 if extended else CLASSIFY_LIMIT
+    limit = EXHAUSTIVE_LIMIT if extended else CLASSIFY_LIMIT
     if n > limit:
         if extended:
             raise ValueError(f"classification is exhaustive only for n <= {limit}")
-        raise LimitError(f"classification is exhaustive only for n <= {limit} (pass {{}} for n=5)",
-                         "extended")
+        raise LimitError(f"classification is exhaustive only for n <= {limit} "
+                         f"(pass {{}} for n={EXHAUSTIVE_LIMIT})", "extended")
     start = time.perf_counter()
-    rows = _constraint_masks_band(n, i, j)
+    rows = _rows(n, range(i, j + 1))
     size, supports, nodes = _scan_supports(n, rows)
     expected = max(1 << i, 1 << (n - j))
     ok = True
@@ -511,30 +502,20 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     if size != expected:
         ok = False
         notes.append(f"minimum support {size} differs from the sharp bound {expected}")
-    canon_map: dict[tuple, VertexFunction] = {}
-    first_witness = None
-    for supp in supports:
-        w = _witness(n, rows, supp, notes)
-        if first_witness is None:
-            first_witness = w
-        cf = canonical_form(w)
-        canon_map.setdefault(cf.values, cf)
-    classes = tuple(sorted(canon_map.values(), key=lambda c: c.values))
+    witnesses = [_witness(n, rows, supp, notes) for supp in supports]
+    forms = {cf.values: cf for cf in map(canonical_form, witnesses)}
+    classes = tuple(sorted(forms.values(), key=lambda c: c.values))
     class_index = {c.values: idx for idx, c in enumerate(classes)}
     bps = enumerate_blueprints(n, i, j)
-    matched: list[tuple[Blueprint, int | None]] = []
-    bp_values = []
-    for bp in bps:
-        cf = canonical_form(build(bp))
-        bp_values.append(cf.values)
-        idx = class_index.get(cf.values)
+    bp_values = [canonical_form(build(bp)).values for bp in bps]
+    matched = tuple((bp, class_index.get(v)) for bp, v in zip(bps, bp_values))
+    for bp, idx in matched:
         if idx is None:
             ok = False
             notes.append(
                 f"blueprint {bp.case} odd={bp.odd_parts} even={bp.even_parts} "
                 f"r={bp.remainder} matches no search class"
             )
-        matched.append((bp, idx))
     if len(set(bp_values)) != len(bp_values):
         ok = False
         notes.append("distinct blueprints collided in canonical form")
@@ -544,9 +525,9 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     return SearchReport(
         n=n, i=i, j=j,
         min_support=size,
-        witness=first_witness,
+        witness=witnesses[0],
         classes_found=classes,
-        matched_blueprints=tuple(matched),
+        matched_blueprints=matched,
         ok=ok,
         notes=tuple(notes),
         elapsed=time.perf_counter() - start,

@@ -80,9 +80,8 @@ class TestParityDuality:
     # and the twist must carry one witness to the other.
     @pytest.mark.parametrize("n,i,j", DUALITY_BANDS)
     def test_dual_bands_scan_alike(self, n, i, j):
-        rows = search._constraint_masks_band
-        scan = search._scan_supports(n, rows(n, i, j))
-        assert search._scan_supports(n, rows(n, n - j, n - i)) == scan
+        scan = search._scan_supports(n, search._rows(n, range(i, j + 1)))
+        assert search._scan_supports(n, search._rows(n, range(n - j, n - i + 1))) == scan
         dual = min_support(n, n - j, n - i).witness
         assert dual.values == parity_twist(min_support(n, i, j).witness).values
 
@@ -169,7 +168,7 @@ class TestDfs:
                 return bound
 
             nodes, bound = search._dfs(n, rows, cap, hook)
-            supports = [(0, *rest) for k in range(1, cap) for rest in combinations(range(1, 1 << n), k)]
+            supports = [(0, *rest) for k in range(cap) for rest in combinations(range(1, 1 << n), k)]
             assert (nodes, bound) == (len(supports), cap)
             assert sorted(seen) == sorted(s for s in supports if rank(s) == rank(s[:-1])), rows
             turned_none += sum(len(s) > 2 and rank((0, s[-1])) == 2 for s in seen)
