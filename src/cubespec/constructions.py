@@ -23,49 +23,40 @@ LOWER = "LOWER"
 UPPER = "UPPER"
 
 
-def _check_block_size(k: int) -> None:
+def _block(name: str, k: int, k_min: int, top: int) -> VertexFunction:
+    """name's block on H(k): top at the all-ones vertex, then +1 at the all-zeros one."""
+    if k < k_min:
+        raise ValueError(f"{name} needs k >= {k_min}, got {k}")
     if k > MAX_DIMENSION:
         raise ValueError(f"block size {k} exceeds the dimension cap {MAX_DIMENSION}")
+    vals = [Fraction(0)] * (1 << k)
+    vals[-1] = Fraction(top)
+    vals[0] = Fraction(1)
+    return VertexFunction(k, tuple(vals))
 
 
 def phi(k: int) -> VertexFunction:
     """+1 at the all-zeros vertex of H(k), -1 at the all-ones vertex."""
-    if k < 1:
-        raise ValueError(f"phi needs k >= 1, got {k}")
-    _check_block_size(k)
-    vals = [Fraction(0)] * (1 << k)
-    vals[0] = Fraction(1)
-    vals[(1 << k) - 1] = Fraction(-1)
-    return VertexFunction(k, tuple(vals))
+    return _block("phi", k, 1, -1)
 
 
 def psi(k: int) -> VertexFunction:
     """+1 at both the all-zeros and all-ones vertices of H(k)."""
-    if k < 1:
-        raise ValueError(f"psi needs k >= 1, got {k}")
-    _check_block_size(k)
-    vals = [Fraction(0)] * (1 << k)
-    vals[0] = Fraction(1)
-    vals[(1 << k) - 1] = Fraction(1)
-    return VertexFunction(k, tuple(vals))
+    return _block("psi", k, 1, 1)
 
 
 def point_mass(k: int) -> VertexFunction:
     """+1 at the all-zeros vertex of H(k); for k = 0 the constant 1 on H(0)."""
-    if k < 0:
-        raise ValueError(f"point_mass needs k >= 0, got {k}")
-    _check_block_size(k)
-    vals = [Fraction(0)] * (1 << k)
-    vals[0] = Fraction(1)
-    return VertexFunction(k, tuple(vals))
+    return _block("point_mass", k, 0, 0)
 
 
 @dataclass(frozen=True)
 class Blueprint:
     """Partition data naming one optimal function as a block tensor product.
 
-    Parts are stored sorted descending; odd_parts sum + even_parts sum +
-    remainder must equal n.  The block count k + l (odd count plus even
+    Parts, remainder and n must be ints (not bool).  Parts are stored
+    sorted descending; odd_parts sum + even_parts sum + remainder must
+    equal n.  The block count k + l (odd count plus even
     count) fixes the support size 2^(k+l).
     """
 
@@ -78,8 +69,12 @@ class Blueprint:
     def __post_init__(self):
         if self.case not in (LOWER, UPPER):
             raise ValueError(f"case must be {LOWER} or {UPPER}, got {self.case!r}")
-        object.__setattr__(self, "odd_parts", tuple(sorted(self.odd_parts, reverse=True)))
-        object.__setattr__(self, "even_parts", tuple(sorted(self.even_parts, reverse=True)))
+        odd, even = tuple(self.odd_parts), tuple(self.even_parts)
+        if any(type(v) is not int for v in (*odd, *even, self.remainder, self.n)):
+            raise ValueError(f"blueprint parts, remainder and n must be ints, got odd={odd} "
+                             f"even={even} r={self.remainder!r} n={self.n!r}")
+        object.__setattr__(self, "odd_parts", tuple(sorted(odd, reverse=True)))
+        object.__setattr__(self, "even_parts", tuple(sorted(even, reverse=True)))
         if any(p < 1 or p % 2 == 0 for p in self.odd_parts):
             raise ValueError(f"odd parts must be odd and >= 1, got {self.odd_parts}")
         if any(p < 2 or p % 2 == 1 for p in self.even_parts):

@@ -21,11 +21,13 @@ tensor(f1, f2) at code y*2^m + x is f1(x)*f2(y) for f1 on H(m).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
 MAX_DIMENSION = 24
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 def weight(code: int) -> int:
@@ -33,10 +35,20 @@ def weight(code: int) -> int:
     return code.bit_count()
 
 
+def fraction_from_str(text: str) -> Fraction:
+    """Parse a strict 'p' or 'p/q' string: an optional minus, digits, a positive denominator."""
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"not a 'p' or 'p/q' rational string: {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
+
+
 def as_fraction(value) -> Fraction:
-    """Convert to an exact Fraction, rejecting floats."""
-    if isinstance(value, float):
-        raise ValueError("floating point values are not allowed; pass int, Fraction or 'p/q'")
+    """Convert an int, a Fraction or a 'p' / 'p/q' string; reject bool, float and all else."""
+    if isinstance(value, str):
+        return fraction_from_str(value)
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ValueError(f"{type(value).__name__} is not an exact rational; pass int, Fraction or 'p/q'")
     return Fraction(value)
 
 
@@ -52,8 +64,8 @@ class VertexFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [0, {MAX_DIMENSION}], got {self.n}")
+        if type(self.n) is not int or not 0 <= self.n <= MAX_DIMENSION:
+            raise ValueError(f"dimension must be in [0, {MAX_DIMENSION}], got {self.n!r}")
         if len(self.values) != 1 << self.n:
             raise ValueError(
                 f"value table has length {len(self.values)}, expected {1 << self.n} for n={self.n}"

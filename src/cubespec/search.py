@@ -448,8 +448,7 @@ def min_support_exact_spectrum(
     _check_exhaustive(n, unsafe)
     start = time.perf_counter()
     rows = _rows(n, target)
-    nvert = 1 << n
-    cap = min(max_size, nvert) if max_size is not None else nvert
+    cap = 1 << n if max_size is None else min(max_size, 1 << n)
     best = None  # (size, colex support, values) of the best witness so far
 
     def handle(supp, bound):
@@ -462,8 +461,7 @@ def min_support_exact_spectrum(
             return bound
         w = _normalize_witness(n, supp, combo)
         key = (wsize, _colex_key(support(w)), w.values)
-        if best is None or key < best:
-            best = key
+        best = key if best is None else min(best, key)
         return wsize
 
     nodes, _ = _dfs(n, rows, cap, handle)
@@ -497,10 +495,8 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     rows = _rows(n, range(i, j + 1))
     size, supports, nodes = _scan_supports(n, rows)
     expected = max(1 << i, 1 << (n - j))
-    ok = True
-    notes: list[str] = []
+    notes = []
     if size != expected:
-        ok = False
         notes.append(f"minimum support {size} differs from the sharp bound {expected}")
     witnesses = [_witness(n, rows, supp, notes) for supp in supports]
     forms = {cf.values: cf for cf in map(canonical_form, witnesses)}
@@ -508,28 +504,24 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     class_index = {c.values: idx for idx, c in enumerate(classes)}
     bps = enumerate_blueprints(n, i, j)
     bp_values = [canonical_form(build(bp)).values for bp in bps]
-    matched = tuple((bp, class_index.get(v)) for bp, v in zip(bps, bp_values))
-    for bp, idx in matched:
-        if idx is None:
-            ok = False
-            notes.append(
-                f"blueprint {bp.case} odd={bp.odd_parts} even={bp.even_parts} "
-                f"r={bp.remainder} matches no search class"
-            )
+    matched = tuple(zip(bps, map(class_index.get, bp_values)))
+    mismatches = [
+        f"blueprint {bp.case} odd={bp.odd_parts} even={bp.even_parts} "
+        f"r={bp.remainder} matches no search class"
+        for bp, idx in matched if idx is None
+    ]
     if len(set(bp_values)) != len(bp_values):
-        ok = False
-        notes.append("distinct blueprints collided in canonical form")
+        mismatches.append("distinct blueprints collided in canonical form")
     if len(bps) != len(classes):
-        ok = False
-        notes.append(f"{len(classes)} search classes vs {len(bps)} blueprints")
+        mismatches.append(f"{len(classes)} search classes vs {len(bps)} blueprints")
     return SearchReport(
         n=n, i=i, j=j,
         min_support=size,
         witness=witnesses[0],
         classes_found=classes,
         matched_blueprints=matched,
-        ok=ok,
-        notes=tuple(notes),
+        ok=size == expected and not mismatches,
+        notes=tuple(notes + mismatches),
         elapsed=time.perf_counter() - start,
         nodes_examined=nodes,
     )

@@ -10,27 +10,17 @@ All emitters sort object keys so output is byte-stable.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from .constructions import Blueprint
-from .functions import VertexFunction
+from .functions import VertexFunction, fraction_from_str
 from .search import SearchReport
 from .spectral import SpectrumSet
 from .trades import AffineSubspace, TradePair
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
-
 
 def fraction_to_str(value: Fraction) -> str:
     return str(value)
-
-
-def fraction_from_str(text: str) -> Fraction:
-    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
-        raise ValueError(f"not a 'p' or 'p/q' rational string: {text!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def function_to_dict(f: VertexFunction) -> dict:
@@ -96,8 +86,6 @@ def blueprint_to_dict(bp: Blueprint) -> dict:
 
 def blueprint_from_dict(payload: dict, n: int) -> Blueprint:
     case, odd, even, r = fields(payload, case=str, odd=list, even=list, r=int)
-    if any(type(p) is not int for p in odd + even):
-        raise ValueError(f"blueprint parts must be integers, got odd={odd} even={even}")
     return Blueprint(case, tuple(odd), tuple(even), r, n)
 
 

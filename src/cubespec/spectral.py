@@ -31,13 +31,16 @@ def _check_band(n: int, i: int, j: int) -> None:
 class SpectrumSet:
     """Set of eigenvalue levels present in a function, with its ambient n.
 
-    Levels are stored as a frozenset, and each must be an int in 0..n.
+    n must be a nonnegative int.  Levels are stored as a frozenset, and
+    each must be an int in 0..n.
     """
 
     n: int
     levels: frozenset[int]
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"n must be a nonnegative int, got {self.n!r}")
         object.__setattr__(self, "levels", frozenset(self.levels))
         for i in self.levels:
             if type(i) is not int:

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from cubespec import (
@@ -41,6 +44,22 @@ class TestBlocks:
         with pytest.raises(ValueError):
             point_mass(-1)
 
+    @pytest.mark.parametrize("block,k,message", [
+        (phi, 0, "phi needs k >= 1, got 0"), (psi, -2, "psi needs k >= 1, got -2"),
+        (point_mass, -1, "point_mass needs k >= 0, got -1"),
+        (phi, 25, "block size 25 exceeds the dimension cap 24"),
+        (point_mass, 25, "block size 25 exceeds the dimension cap 24"),
+    ])
+    def test_size_errors(self, block, k, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            block(k)
+
+    def test_tables_hold_fractions(self):
+        for k in range(1, 6):
+            for f in (phi(k), psi(k), point_mass(k)):
+                assert len(f.values) == 1 << k and all(type(v) is Fraction for v in f.values)
+                assert [x for x, v in enumerate(f.values) if v] == ([0] if f == point_mass(k) else [0, (1 << k) - 1])
+
 
 class TestBlueprint:
     def test_parts_stored_descending(self):
@@ -59,6 +78,15 @@ class TestBlueprint:
             Blueprint(LOWER, (1,), (), 0, 3)  # sums to 1, not 3
         with pytest.raises(ValueError):
             Blueprint("MIDDLE", (), (), 2, 2)
+
+    @pytest.mark.parametrize("odd,even,r,n", [
+        ((1.0,), (), 0, 1), ((True,), (), 0, 1), ((), (2.0,), 0, 2), ((), (Fraction(2),), 0, 2),
+        ((1,), (), True, 2), ((1,), (), 1.0, 2), ((1,), (), 0, True), ((1,), (), 0, 1.0),
+        ((1, "3"), (), 0, 4), ((3, 1.0), (), 0, 4),
+    ], ids=repr)
+    def test_rejects_non_int_fields_before_sorting(self, odd, even, r, n):
+        with pytest.raises(ValueError, match="must be ints"):
+            Blueprint(LOWER, odd, even, r, n)
 
 
 class TestBuild:

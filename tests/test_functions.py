@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from cubespec import (
     VertexFunction,
     character,
+    constant_function,
     in_band,
     inner_product,
     inverse_walsh,
@@ -48,8 +51,36 @@ class TestMakeFunction:
         with pytest.raises(ValueError):
             make_function(1, [0.5, 1])
 
+    @pytest.mark.parametrize("bad", [
+        "1.5", "1e3", " 1", "1/0", "1/-2", "+1", "", True, False, 1.0, Decimal("0.1"), 1j, None, [1],
+    ], ids=repr)
+    def test_rejects_everything_but_int_fraction_and_strict_strings(self, bad):
+        with pytest.raises(ValueError):
+            make_function(1, [bad, 1])
+        with pytest.raises(ValueError):
+            make_function(1, [1, bad])
+        with pytest.raises(ValueError):
+            constant_function(1, bad)
+        with pytest.raises(ValueError):
+            phi(1).scale(bad)
+
+    @pytest.mark.parametrize("good,value", [
+        (3, Fraction(3)), (-2, Fraction(-2)), (Fraction(-3, 4), Fraction(-3, 4)), ("7", Fraction(7)),
+        ("-0", Fraction(0)), ("007", Fraction(7)), ("-12/8", Fraction(-3, 2)), ("0/5", Fraction(0)),
+    ], ids=repr)
+    def test_accepted_forms(self, good, value):
+        f = make_function(1, [good, 1])
+        assert f.values == (value, Fraction(1)) and all(type(v) is Fraction for v in f.values)
+        assert constant_function(0, good).values == (value,)
+        assert phi(1).scale(good).values == (value, -value)
+
 
 class TestVertexFunctionValues:
+    @pytest.mark.parametrize("n", [True, 2.0, "2", None], ids=repr)
+    def test_rejects_non_int_dimension(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"dimension must be in [0, 24], got {n!r}")):
+            VertexFunction(n, (1, 2, 3, 4))
+
     @pytest.mark.parametrize("bad", [True, 0.5, "1", None], ids=["bool", "float", "str", "None"])
     def test_rejects_non_rational_values(self, bad):
         with pytest.raises(ValueError, match=f"index 2 is {type(bad).__name__}"):

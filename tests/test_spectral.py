@@ -62,6 +62,12 @@ def test_spectrum_set_validation():
         SpectrumSet(2, frozenset({3}))
 
 
+@pytest.mark.parametrize("n", [True, -1, 2.0, "2", None], ids=repr)
+def test_spectrum_set_rejects_bad_dimension(n):
+    with pytest.raises(ValueError, match="n must be a nonnegative int"):
+        SpectrumSet(n, {1} if n is True else set())
+
+
 def test_spectrum_set_stores_a_frozenset():
     s = SpectrumSet(3, [1, 3, 1])
     assert s.levels == frozenset({1, 3}) and s.sorted_levels == (1, 3)
