@@ -56,8 +56,8 @@ class Blueprint:
 
     Parts, remainder and n must be ints (not bool).  Parts are stored
     sorted descending; odd_parts sum + even_parts sum + remainder must
-    equal n.  The block count k + l (odd count plus even
-    count) fixes the support size 2^(k+l).
+    equal n.  The block count k + l (odd count plus even count) fixes the
+    support size 2^(k+l).
     """
 
     case: str

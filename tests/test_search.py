@@ -174,6 +174,17 @@ class TestDfs:
             turned_none += sum(len(s) > 2 and rank((0, s[-1])) == 2 for s in seen)
         assert turned_none
 
+    @pytest.mark.parametrize("n,cap", [(0, 1), (3, 8), (3, 0)])
+    def test_no_rows_hands_the_point_mass_to_the_hook(self, n, cap):
+        seen = []
+
+        def hook(supp, bound):
+            seen.append((supp, bound))
+            return 1
+
+        assert search._dfs(n, [], cap, hook) == (1, 1)
+        assert seen == [((0,), cap)]
+
 
 class TestExactSpectrum:
     def test_two_level_gap_on_the_cube(self):
