@@ -25,8 +25,8 @@ UPPER = "UPPER"
 
 def _block(name: str, k: int, k_min: int, top: int) -> VertexFunction:
     """name's block on H(k): top at the all-ones vertex, then +1 at the all-zeros one."""
-    if k < k_min:
-        raise ValueError(f"{name} needs k >= {k_min}, got {k}")
+    if type(k) is not int or k < k_min:
+        raise ValueError(f"{name} needs k >= {k_min}, got {k!r}")
     if k > MAX_DIMENSION:
         raise ValueError(f"block size {k} exceeds the dimension cap {MAX_DIMENSION}")
     vals = [Fraction(0)] * (1 << k)

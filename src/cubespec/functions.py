@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 MAX_DIMENSION = 24
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 def weight(code: int) -> int:

@@ -49,6 +49,8 @@ class TestBlocks:
         (point_mass, -1, "point_mass needs k >= 0, got -1"),
         (phi, 25, "block size 25 exceeds the dimension cap 24"),
         (point_mass, 25, "block size 25 exceeds the dimension cap 24"),
+        (phi, 2.0, "phi needs k >= 1, got 2.0"), (psi, True, "psi needs k >= 1, got True"),
+        (point_mass, "1", "point_mass needs k >= 0, got '1'"),
     ])
     def test_size_errors(self, block, k, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -23,7 +23,8 @@ class TestFractions:
 
     def test_strict_parsing(self):
         for bad in ("1.5", "1/0", "a", "1/-2", "", "07/", "1\n", "3/4\n", "+1", " 1", "1/ 2",
-                    "1_000", "--1", "-", "/2", "1/2/3", "1e3", "0x10", "3/007", "9" * 5000):
+                    "1_000", "--1", "-", "/2", "1/2/3", "1e3", "0x10", "3/007", "9" * 5000,
+                    "\u0663", "1/1\u0663", "\uff11"):  # Arabic-Indic and fullwidth digits
             with pytest.raises(ValueError):
                 serialize.fraction_from_str(bad)
         for good, value in (("007", 7), ("-0", 0), ("-12/8", Fraction(-3, 2)), ("0/5", 0),
