@@ -23,7 +23,7 @@ from .functions import (
 
 
 def _check_band(n: int, i: int, j: int) -> None:
-    if not 0 <= i <= j <= n:
+    if any(type(v) is not int for v in (n, i, j)) or not 0 <= i <= j <= n:
         raise ValueError(f"invalid band [{i}, {j}] for n={n}")
 
 

@@ -150,12 +150,21 @@ class TestInBand:
             in_band(phi(2), 2, 1)
 
 
-@pytest.mark.parametrize("i,j", [(2, 1), (-1, 1), (1, 3)])
+@pytest.mark.parametrize("i,j", [(2, 1), (-1, 1), (1, 3), (1.0, 2), (True, 2), (0, 2.0)])
 def test_every_band_check_gives_one_message(i, j):
     message = f"^invalid band \\[{i}, {j}\\] for n=2$"
     for call in (lambda: in_band(phi(2), i, j), lambda: reduction_check(phi(2), i, j, 1),
                  lambda: enumerate_blueprints(2, i, j), lambda: min_support(2, i, j),
                  lambda: verify_classification(2, i, j)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("n", [2.0, True], ids=repr)
+def test_band_check_rejects_a_non_int_dimension(n):
+    message = f"^invalid band \\[1, 1\\] for n={n}$"
+    for call in (lambda: enumerate_blueprints(n, 1, 1), lambda: min_support(n, 1, 1),
+                 lambda: verify_classification(n, 1, 1)):
         with pytest.raises(ValueError, match=message):
             call()
 
