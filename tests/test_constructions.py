@@ -58,9 +58,10 @@ class TestBlocks:
 
     def test_tables_hold_fractions(self):
         for k in range(1, 6):
-            for f in (phi(k), psi(k), point_mass(k)):
+            top = (1 << k) - 1
+            for f, supp in ((phi(k), [0, top]), (psi(k), [0, top]), (point_mass(k), [0])):
                 assert len(f.values) == 1 << k and all(type(v) is Fraction for v in f.values)
-                assert [x for x, v in enumerate(f.values) if v] == ([0] if f == point_mass(k) else [0, (1 << k) - 1])
+                assert [x for x, v in enumerate(f.values) if v] == supp
 
 
 class TestBlueprint:
