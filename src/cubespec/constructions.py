@@ -179,8 +179,7 @@ def single_level_blueprint(n: int, i: int) -> Blueprint:
     For i >= n/2: LOWER with 2i-n odd parts of size 1 and n-i even parts of
     size 2; for i < n/2 the mirrored UPPER blueprint.
     """
-    if not 0 <= i <= n:
-        raise ValueError(f"level {i} out of range 0..{n}")
+    _check_band(n, i, i)
     if 2 * i >= n:
         return Blueprint(LOWER, (1,) * (2 * i - n), (2,) * (n - i), 0, n)
     return Blueprint(UPPER, (1,) * (n - 2 * i), (2,) * i, 0, n)

@@ -163,10 +163,10 @@ def restrict(f: VertexFunction, r: int, k: int) -> VertexFunction:
     """Fix coordinate r (1-based) to bit k; returns the slice on H(n-1)."""
     if f.n < 1:
         raise ValueError("cannot restrict a function on H(0)")
-    if not 1 <= r <= f.n:
-        raise ValueError(f"coordinate {r} out of range 1..{f.n}")
-    if k not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {k}")
+    if type(r) is not int or not 1 <= r <= f.n:
+        raise ValueError(f"coordinate {r!r} out of range 1..{f.n}")
+    if type(k) is not int or k not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {k!r}")
     b = r - 1
     low_mask = (1 << b) - 1
     vals = []

@@ -22,6 +22,10 @@ since a packed column is linear in its lanes, it is exact on the whole int
 even where the product overflowed a lane.  A zero test is `not column`.
 Kernel vectors, their combinations and their level tests stay Python
 ints; Fractions are built only for the VertexFunctions handed back.
+Canonical forms compare integer tables too, and sweep one coordinate
+permutation per arrangement of cells, coordinates that an automorphism
+of f may swap (B. D. McKay, A. Piperno, "Practical graph isomorphism,
+II", J. Symbolic Comput. 60, 2014).
 
 Scans are restricted to supports containing vertex 0, which is harmless:
 translating a function multiplies each Fourier coefficient by +-1, so band
@@ -33,11 +37,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
+from operator import lshift
 
 from .constructions import Blueprint, build, enumerate_blueprints
-from .functions import VertexFunction, support
+from .functions import VertexFunction, _scaled_ints, support
 from .spectral import SpectrumSet, _check_band, _levels
 
 EXHAUSTIVE_LIMIT = 5
@@ -220,8 +223,7 @@ def _kernel_basis(rows, supp):
 def _table(n, supp, vec) -> list[int]:
     """The dense table on H(n) holding vec on the support and 0 elsewhere."""
     vals = [0] * (1 << n)
-    for x, c in zip(supp, vec):
-        vals[x] = c
+    any(map(vals.__setitem__, supp, vec))  # __setitem__ returns None, so any() runs it through
     return vals
 
 
@@ -239,32 +241,6 @@ def _witness(n, rows, supp, notes) -> VertexFunction:
     if len(kernel) != 1:
         notes.append(f"kernel dimension {len(kernel)} at support {supp}")
     return _normalize_witness(n, supp, kernel[0])
-
-
-def _candidate_less(a, b):
-    """Lexicographic order on dense value tables, compared sparsely.
-
-    a and b are sorted (index, value) lists of the nonzero entries; missing
-    indices are zeros.
-    """
-    i = j = 0
-    while i < len(a) and j < len(b):
-        xa, va = a[i]
-        xb, vb = b[j]
-        if xa == xb:
-            if va != vb:
-                return va < vb
-            i += 1
-            j += 1
-        elif xa < xb:
-            return va < 0
-        else:
-            return vb > 0
-    if i < len(a):
-        return a[i][1] < 0
-    if j < len(b):
-        return b[j][1] > 0
-    return False
 
 
 def _max_min_xor(codes, nbits):
@@ -295,53 +271,81 @@ def _max_min_xor(codes, nbits):
     return top, [t ^ top for t, v in zip(codes, values) if v == top]
 
 
+def _distinct_permutations(items):
+    """Every distinct ordering of the multiset items once, in lexicographic order.
+
+    Each step is the classic next permutation: swap the last ascent's head
+    with the last larger entry and reverse the tail; equal items never swap.
+    """
+    seq = sorted(items)
+    while True:
+        yield tuple(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = seq[:i:-1]
+
+
+def _canonical(n, codes, ints):
+    """Where the least image of f under the automorphisms of H(n) puts f's support.
+
+    f has support codes and values ints, integers on one scale.  An image
+    led by value u holds v * (L // u) at each vertex, L the lcm of the |v|:
+    L times the image scaled to +1 at its first support vertex, so int
+    tables order the images exactly.  Cells: with the support moved to
+    pass through 0, coordinates with equal columns (bits over the support)
+    swap without moving f, so one permutation per distinct arrangement of
+    the columns, n! / prod |cell|! of them, yields every image; a column
+    holds one byte per support vertex (n <= 8).  Per permutation only the
+    translations of _max_min_xor give the latest first support vertex and
+    the smaller table; a permutation short of the best so far is skipped.
+    Returns (image, lead): the least image puts codes[k] at image[k], and
+    codes[lead] is its first support vertex.
+    """
+    scale = math.lcm(*{abs(v) for v in ints})
+    by_lead = {u: [v * (scale // u) for v in ints] for u in set(ints)}  # [k]: ints[k] / u * scale
+    base = codes[0]
+    columns = [sum(((x ^ base) >> c & 1) << 8 * t for t, x in enumerate(codes)) for c in range(n)]
+    best = None
+    first = -1
+    for arrangement in _distinct_permutations(columns):
+        moved = sum(map(lshift, arrangement, range(n))).to_bytes(len(codes), "little")
+        top, ws = _max_min_xor(moved, n)
+        if top < first:
+            continue
+        for w in ws:
+            image = [t ^ w for t in moved]
+            lead = moved.index(top ^ w)
+            table = _table(n, image, by_lead[ints[lead]])
+            if best is None or table < best:
+                best, placed, first = table, (image, lead), top
+    return placed
+
+
 def canonical_form(f: VertexFunction) -> VertexFunction:
     """Class representative under automorphisms of H(n) and scaling.
 
     Each candidate c * (f o pi), for pi a coordinate permutation composed
-    with a translation, is scaled so its value at its first support vertex
-    is +1, and the lexicographically smallest value table (vertex-code
-    order) wins.  A table with a later first support vertex is smaller, so
-    only the translations that push the first support vertex as far as it
-    goes can win: per permutation, _max_min_xor finds them on the permuted
-    support, permutations that cannot reach the best first vertex so far
-    are skipped, and the remaining candidates are compared in full.  The
-    result is the minimum over the whole group.  Idempotent and constant
-    on classes.
+    with a translation, is scaled to +1 at its first support vertex, and
+    the smallest value table (vertex-code order) wins: the minimum over the
+    whole group, found by _canonical on the support and its values as ints.
+    Idempotent and constant on classes.
     """
     n = f.n
     if n > CANONICAL_LIMIT:
         raise ValueError(f"canonical_form sweeps the full group only for n <= {CANONICAL_LIMIT}")
-    supp_items = [(x, v) for x, v in enumerate(f.values) if v != 0]
-    if not supp_items:
+    codes = [x for x, v in enumerate(f.values) if v != 0]
+    if not codes:
         raise ValueError("canonical_form needs a nonzero function")
-    # A candidate scaled by its lead value u holds v / u at each support
-    # vertex; candidates are compared on the order-preserving integer ranks
-    # of these ratios (0 at 0), with values named by their index in `values`.
-    values = sorted({v for _, v in supp_items})
-    ratios = sorted({v / u for u in values for v in values} | {Fraction(0)})
-    rank = {r: k for k, r in enumerate(ratios, -ratios.index(0))}
-    scaled = [[rank[v / u] for v in values] for u in values]
-    ids = [values.index(v) for _, v in supp_items]
-    bits = [[cbit for cbit in range(n) if x >> cbit & 1] for x, _ in supp_items]
-    best = None
-    first = -1
-    for perm in permutations(range(n)):
-        codes = [sum(1 << perm[cbit] for cbit in xb) for xb in bits]
-        top, ws = _max_min_xor(codes, n)
-        if top < first:
-            continue
-        for w in ws:
-            pairs = sorted(zip([t ^ w for t in codes], ids))
-            row = scaled[pairs[0][1]]
-            cand = [(idx, row[k]) for idx, k in pairs]
-            if best is None or _candidate_less(cand, best):
-                best, best_pairs, first = cand, pairs, top
-    lead = values[best_pairs[0][1]]
-    vals = [Fraction(0)] * (1 << n)
-    for idx, k in best_pairs:
-        vals[idx] = values[k] / lead
-    return VertexFunction(n, tuple(vals))
+    values = [f.values[x] for x in codes]
+    image, lead = _canonical(n, codes, _scaled_ints(values)[0])
+    return VertexFunction(n, tuple(_table(n, image, [v / values[lead] for v in values])))
 
 
 def equivalent(f: VertexFunction, g: VertexFunction) -> bool:
@@ -392,12 +396,8 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport
     notes = []
     witness = _witness(n, rows, supports[0], notes)
     return SearchReport(
-        n=n, i=i, j=j,
-        min_support=size,
-        witness=witness,
-        notes=tuple(notes),
-        elapsed=time.perf_counter() - start,
-        nodes_examined=nodes,
+        n=n, i=i, j=j, min_support=size, witness=witness, notes=tuple(notes),
+        elapsed=time.perf_counter() - start, nodes_examined=nodes,
     )
 
 
@@ -515,13 +515,8 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     if len(bps) != len(classes):
         mismatches.append(f"{len(classes)} search classes vs {len(bps)} blueprints")
     return SearchReport(
-        n=n, i=i, j=j,
-        min_support=size,
-        witness=witnesses[0],
-        classes_found=classes,
-        matched_blueprints=matched,
-        ok=size == expected and not mismatches,
-        notes=tuple(notes + mismatches),
-        elapsed=time.perf_counter() - start,
-        nodes_examined=nodes,
+        n=n, i=i, j=j, min_support=size, witness=witnesses[0],
+        classes_found=classes, matched_blueprints=matched,
+        ok=size == expected and not mismatches, notes=tuple(notes + mismatches),
+        elapsed=time.perf_counter() - start, nodes_examined=nodes,
     )

@@ -61,10 +61,10 @@ class SpectrumSet:
 
 def character(n: int, u: int) -> VertexFunction:
     """The character chi_u(x) = (-1)^(u.x), a +-1 valued function on H(n)."""
-    if not 0 <= n <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [0, {MAX_DIMENSION}], got {n}")
-    if not 0 <= u < (1 << n):
-        raise ValueError(f"vertex code {u} out of range for n={n}")
+    if type(n) is not int or not 0 <= n <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be in [0, {MAX_DIMENSION}], got {n!r}")
+    if type(u) is not int or not 0 <= u < (1 << n):
+        raise ValueError(f"vertex code {u!r} out of range for n={n}")
     one = Fraction(1)
     vals = tuple(-one if weight(u & x) & 1 else one for x in range(1 << n))
     return VertexFunction(n, vals)

@@ -60,6 +60,8 @@ class TradePair:
             raise ValueError("both sets of a trade pair must be nonempty")
         if self.t0 & self.t1:
             raise ValueError("trade pair sets must be disjoint")
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"n must be a nonnegative int, got {self.n!r}")
         top = 1 << self.n
         if any(x >= top or x < 0 for x in self.t0 | self.t1):
             raise ValueError(f"vertex code out of range for n={self.n}")
@@ -67,8 +69,8 @@ class TradePair:
 
 def is_trade(tp: TradePair, t: int) -> bool:
     """Balance test: every (n-t)-face holds equally many of t0 and t1."""
-    if not 0 <= t <= tp.n:
-        raise ValueError(f"trade parameter {t} out of range 0..{tp.n}")
+    if type(t) is not int or not 0 <= t <= tp.n:
+        raise ValueError(f"trade parameter {t!r} out of range 0..{tp.n}")
     weighted = [(x, 1) for x in tp.t0] + [(x, -1) for x in tp.t1]
     return _faces_balanced(tp.n, weighted, t)
 

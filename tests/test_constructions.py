@@ -212,6 +212,11 @@ class TestSingleLevelBlueprint:
                     bps[0].remainder,
                 )
 
+    @pytest.mark.parametrize("n,i", [(2.0, 1), (True, 1), (2, True), (2, 1.0), (2, 3), (2, -1)], ids=repr)
+    def test_rejects_what_the_band_check_rejects(self, n, i):
+        with pytest.raises(ValueError, match=re.escape(f"invalid band [{i}, {i}] for n={n}")):
+            single_level_blueprint(n, i)
+
 
 class TestProgression:
     def test_examples(self):

@@ -206,6 +206,11 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(point_mass(0), 1, 0)
 
+    @pytest.mark.parametrize("r,k", [(1, True), (1, 1.0), (True, 0), (1.0, 0)], ids=repr)
+    def test_rejects_non_int_coordinate_or_bit(self, r, k):
+        with pytest.raises(ValueError, match="^(coordinate|bit)"):
+            restrict(phi(2), r, k)
+
     def test_half_sum_half_difference_rebuild_slices(self, rng):
         # g = (f0 + f1)/2 and h = (f0 - f1)/2 recombine exactly
         f = random_function(rng, 4)

@@ -1,6 +1,9 @@
+import math
+import os
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,8 +26,10 @@ from cubespec import (
     verify_classification,
 )
 from cubespec import search
-from cubespec.search import _kernel_basis, _max_min_xor
+from cubespec.search import _distinct_permutations, _kernel_basis, _max_min_xor
 from oracles import fraction_rank, naive_canonical_form, naive_min_support, rref_kernel, sign
+
+EXTENDED = os.environ.get("CUBESPEC_EXTENDED") == "1"
 
 
 class TestMinSupport:
@@ -302,6 +307,78 @@ class TestCanonicalForm:
         assert sum(f.n == 6 for f in functions) == 2
         for f in functions:
             assert canonical_form(f) == naive_canonical_form(f), f
+
+    @staticmethod
+    def span(basis, offset):
+        codes = {0}
+        for b in basis:
+            codes |= {x ^ b for x in codes}
+        return [x ^ offset for x in codes]
+
+    @staticmethod
+    def cells(n, codes):
+        """The number of distinct columns over the support translated to 0."""
+        return len({tuple((x ^ codes[0]) >> c & 1 for x in codes) for c in range(n)})
+
+    def test_matches_full_sweep_oracle_on_equal_and_complementary_columns(self, rng):
+        supports = []
+        for n in range(2, 6):
+            full = (1 << n) - 1
+            supports += [(n, [0, full]), (n, [5 % (1 << n), 5 % (1 << n) ^ full])]  # all columns in one cell
+            for _ in range(12):
+                offset = rng.randrange(1 << n)
+                supports.append((n, [offset]))  # a point mass
+                coords = rng.sample(range(n), rng.randint(1, n - 1))
+                supports.append((n, self.span([1 << c for c in coords], offset)))
+                basis = []
+                for _ in range(rng.randint(1, n - 1)):
+                    basis.append(rng.choice([v for v in range(1, 1 << n) if v not in self.span(basis, 0)]))
+                supports.append((n, self.span(basis, offset)))
+        assert sum(self.cells(n, codes) < n for n, codes in supports) > len(supports) * 2 // 3
+        for n, codes in supports:
+            pool = [Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7])) for _ in range(3)]
+            vals = [0] * (1 << n)
+            for x in codes:
+                vals[x] = rng.choice(pool)
+            f = make_function(n, vals)
+            assert canonical_form(f) == naive_canonical_form(f), f
+
+    @pytest.mark.parametrize("n,i,j,witnesses,classes", [
+        (6, 2, 6, 301, 9),
+        pytest.param(7, 2, 7, 966, 12, marks=pytest.mark.skipif(
+            not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=7 classes")),
+    ])
+    def test_witnesses_above_n5_give_the_blueprint_forms(self, n, i, j, witnesses, classes):
+        rows = search._rows(n, range(i, j + 1))
+        size, supports, _ = search._scan_supports(n, rows)
+        assert size == max(1 << i, 1 << (n - j)) and len(supports) == witnesses
+        notes = []
+        forms = {canonical_form(search._witness(n, rows, supp, notes)).values for supp in supports}
+        assert notes == []
+        blueprint_forms = [canonical_form(build(bp)).values for bp in enumerate_blueprints(n, i, j)]
+        assert len(set(blueprint_forms)) == len(blueprint_forms) == classes
+        assert forms == set(blueprint_forms)
+
+
+class TestDistinctPermutations:
+    @staticmethod
+    def check(items):
+        got = list(_distinct_permutations(items))
+        count = math.factorial(len(items))
+        for m in Counter(items).values():
+            count //= math.factorial(m)
+        assert len(got) == len(set(got)) == count
+        assert set(got) == set(permutations(items))
+        assert got == sorted(got)
+
+    @pytest.mark.parametrize("items", [(), (7,), (1, 1, 1), (2, 1, 2, 1), (3, 1, 2, 1, 3, 3),
+                                       tuple(range(6)), (0, 0, 1, 1, 2, 2, 2, 5)], ids=repr)
+    def test_yields_every_distinct_ordering_once(self, items):
+        self.check(items)
+
+    def test_random_multisets(self, rng):
+        for _ in range(100):
+            self.check(tuple(rng.randrange(4) for _ in range(rng.randint(0, 7))))
 
 
 class TestMaxMinXor:

@@ -169,6 +169,12 @@ def test_band_check_rejects_a_non_int_dimension(n):
             call()
 
 
+@pytest.mark.parametrize("n,u", [(2.0, 1), (True, 1), (2, True), (2, 1.0), (2, 4), (-1, 0)], ids=repr)
+def test_character_rejects_non_int_or_out_of_range_arguments(n, u):
+    with pytest.raises(ValueError, match="^(dimension|vertex code)"):
+        character(n, u)
+
+
 class TestEigenRelation:
     def test_characters(self):
         for n in range(1, 7):

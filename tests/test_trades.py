@@ -114,6 +114,17 @@ class TestIsTrade:
         with pytest.raises(ValueError):
             TradePair(frozenset({1}), frozenset({1, 2}), 2)
 
+    @pytest.mark.parametrize("n", [2.0, True, "2", -1], ids=repr)
+    def test_pair_rejects_a_bad_dimension(self, n):
+        with pytest.raises(ValueError, match="^n must be a nonnegative int"):
+            TradePair(frozenset({0}), frozenset({1}), n)
+
+    @pytest.mark.parametrize("t", [1.0, True, -1, 3], ids=repr)
+    def test_rejects_a_bad_trade_parameter(self, t):
+        tp = TradePair(frozenset({0b00, 0b11}), frozenset({0b01, 0b10}), 2)
+        with pytest.raises(ValueError, match="^trade parameter"):
+            is_trade(tp, t)
+
     def test_matches_face_scan_oracle(self, rng):
         for _ in range(15):
             n = rng.randrange(2, 5)
