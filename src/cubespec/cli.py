@@ -58,7 +58,7 @@ _INPUT = (
     _arg("--inline", help="inline JSON instead of a path"),
 )
 _OUTPUT = _arg("--output", default="-", help="output path, '-' for stdout")
-_LIMIT_FLAGS = {"unsafe": "--unsafe-n", "extended": "--extended-n5"}  # search.LimitError keywords
+_UNSAFE = _arg("--unsafe-n", action="store_true", help="allow n beyond the exhaustive limit")
 
 
 def _read_json(path: str, inline: str | None = None):
@@ -132,7 +132,7 @@ def cmd_min_support(args, _):
 
 
 def cmd_verify_classification(args, _):
-    report = search.verify_classification(args.n, args.i, args.j, extended=args.extended_n5)
+    report = search.verify_classification(args.n, args.i, args.j, extended=args.unsafe_n)
     out = serialize.search_report_to_dict(report, with_timing=args.timing)
     if not report.ok:
         raise VerificationError("classification mismatch", out, notes=list(report.notes))
@@ -225,17 +225,15 @@ COMMANDS = (
         _arg("--i", type=int),
         _arg("--j", type=int),
         _arg("--exact-spectrum", help="comma-separated levels, e.g. 0,3"),
-        _arg("--unsafe-n", action="store_true", help="allow n beyond the exhaustive limit"),
+        _UNSAFE,
         _TIMING,
     ), cmd_min_support),
     Command("canonical", "class representative under automorphisms and scaling", _function, (),
             lambda args, f: serialize.function_to_dict(search.canonical_form(f))),
     Command("equivalent", "test equivalence of two functions", _function, (_PATHS,),
             lambda args, fg: {"equivalent": search.equivalent(*fg)}),
-    Command("verify-classification", "match search classes against blueprints", None, _BAND + (
-        _arg("--extended-n5", action="store_true", help="allow the n=5 exhaustive run"),
-        _TIMING,
-    ), cmd_verify_classification),
+    Command("verify-classification", "match search classes against blueprints", None,
+            _BAND + (_UNSAFE, _TIMING), cmd_verify_classification),
     Command("demo", "re-derive the desk-scale checks end to end", None, (), cmd_demo),
 )
 
@@ -295,7 +293,7 @@ def main(argv=None) -> int:
             return EXIT_MISMATCH
         return EXIT_OK
     except search.LimitError as exc:  # name the flag, not the library keyword
-        _error(exc.template.format(_LIMIT_FLAGS[exc.keyword]), kind="contract")
+        _error(exc.template.format("--unsafe-n"), kind="contract")
         return EXIT_CONTRACT
     except ValueError as exc:
         _error(str(exc), kind="contract")

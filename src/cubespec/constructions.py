@@ -139,10 +139,7 @@ def _part_multisets(count: int, odd: bool, max_total: int, max_part: int):
         return
     min_part = 1 if odd else 2
     first = min(max_part, max_total - min_part * (count - 1))
-    if odd:
-        first -= (first + 1) % 2
-    else:
-        first -= first % 2
+    first -= (first + odd) % 2  # the largest part of the right parity
     for p in range(first, min_part - 1, -2):
         for rest in _part_multisets(count - 1, odd, max_total - p, p):
             yield (p,) + rest

@@ -37,33 +37,33 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import lshift
 
 from .constructions import Blueprint, build, enumerate_blueprints
-from .functions import VertexFunction, _scaled_ints, support
+from .functions import VertexFunction, _scaled_ints
 from .spectral import SpectrumSet, _check_band, _levels
 
 EXHAUSTIVE_LIMIT = 5
-CLASSIFY_LIMIT = 4
 CANONICAL_LIMIT = 8
 
 
 class LimitError(ValueError):
-    """A size limit that the keyword argument `keyword` lifts.
+    """The exhaustive limit on n, which the keyword argument `keyword` lifts.
 
     The message names ``keyword=True``; `template` holds it with a {}
     where that switch goes, so a front end can name its own.
     """
 
-    def __init__(self, template: str, keyword: str):
-        super().__init__(template.format(f"{keyword}=True"))
-        self.template = template
-        self.keyword = keyword
+    template = f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs {{}}"
+
+    def __init__(self, keyword: str):
+        super().__init__(self.template.format(f"{keyword}=True"))
 
 
-def _check_exhaustive(n: int, unsafe: bool) -> None:
-    if n > EXHAUSTIVE_LIMIT and not unsafe:
-        raise LimitError(f"exhaustive search beyond n={EXHAUSTIVE_LIMIT} needs {{}}", "unsafe")
+def _check_exhaustive(n: int, lifted: bool, keyword: str) -> None:
+    if n > EXHAUSTIVE_LIMIT and not lifted:
+        raise LimitError(keyword)
 
 
 def _rows(n: int, levels) -> list[int]:
@@ -227,20 +227,25 @@ def _table(n, supp, vec) -> list[int]:
     return vals
 
 
-def _normalize_witness(n, supp, ints) -> VertexFunction:
+def _function(n, supp, vec) -> VertexFunction:
+    """The function on H(n) holding vec on the support and 0 elsewhere."""
+    return VertexFunction(n, tuple(_table(n, supp, vec)))
+
+
+def _normalize_witness(ints) -> list[int]:
     """Divide an integer kernel vector by its content, signed to make the lead positive."""
     g = math.gcd(*ints)
     if next(x for x in ints if x) < 0:
         g = -g
-    return VertexFunction(n, tuple(_table(n, supp, [x // g for x in ints])))
+    return [x // g for x in ints]
 
 
-def _witness(n, rows, supp, notes) -> VertexFunction:
+def _witness(n, rows, supp, notes) -> list[int]:
     """The normalized first kernel vector of supp; notes a kernel dimension other than 1."""
     kernel = _kernel_basis(rows, supp)
     if len(kernel) != 1:
         notes.append(f"kernel dimension {len(kernel)} at support {supp}")
-    return _normalize_witness(n, supp, kernel[0])
+    return _normalize_witness(kernel[0])
 
 
 def _max_min_xor(codes, nbits):
@@ -292,8 +297,8 @@ def _distinct_permutations(items):
         seq[i + 1:] = seq[:i:-1]
 
 
-def _canonical(n, codes, ints):
-    """Where the least image of f under the automorphisms of H(n) puts f's support.
+def _canonical(n, codes, ints) -> list[int]:
+    """The least image of f under the automorphisms of H(n), as an int table.
 
     f has support codes and values ints, integers on one scale.  An image
     led by value u holds v * (L // u) at each vertex, L the lcm of the |v|:
@@ -305,8 +310,8 @@ def _canonical(n, codes, ints):
     holds one byte per support vertex (n <= 8).  Per permutation only the
     translations of _max_min_xor give the latest first support vertex and
     the smaller table; a permutation short of the best so far is skipped.
-    Returns (image, lead): the least image puts codes[k] at image[k], and
-    codes[lead] is its first support vertex.
+    Returns that table: L times the class representative, whose first
+    nonzero entry is L.
     """
     scale = math.lcm(*{abs(v) for v in ints})
     by_lead = {u: [v * (scale // u) for v in ints] for u in set(ints)}  # [k]: ints[k] / u * scale
@@ -324,8 +329,14 @@ def _canonical(n, codes, ints):
             lead = moved.index(top ^ w)
             table = _table(n, image, by_lead[ints[lead]])
             if best is None or table < best:
-                best, placed, first = table, (image, lead), top
-    return placed
+                best, first = table, top
+    return best
+
+
+def _unit_lead(n, table) -> VertexFunction:
+    """The int table divided by its first nonzero entry."""
+    lead = next(filter(None, table))
+    return VertexFunction(n, tuple(Fraction(v, lead) for v in table))
 
 
 def canonical_form(f: VertexFunction) -> VertexFunction:
@@ -343,9 +354,7 @@ def canonical_form(f: VertexFunction) -> VertexFunction:
     codes = [x for x, v in enumerate(f.values) if v != 0]
     if not codes:
         raise ValueError("canonical_form needs a nonzero function")
-    values = [f.values[x] for x in codes]
-    image, lead = _canonical(n, codes, _scaled_ints(values)[0])
-    return VertexFunction(n, tuple(_table(n, image, [v / values[lead] for v in values])))
+    return _unit_lead(n, _canonical(n, codes, _scaled_ints([f.values[x] for x in codes])[0]))
 
 
 def equivalent(f: VertexFunction, g: VertexFunction) -> bool:
@@ -389,12 +398,12 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport
     exhaustive limit unless unsafe is set.
     """
     _check_band(n, i, j)
-    _check_exhaustive(n, unsafe)
+    _check_exhaustive(n, unsafe, "unsafe")
     start = time.perf_counter()
     rows = _rows(n, range(i, j + 1))
     size, supports, nodes = _scan_supports(n, rows)
     notes = []
-    witness = _witness(n, rows, supports[0], notes)
+    witness = _function(n, supports[0], _witness(n, rows, supports[0], notes))
     return SearchReport(
         n=n, i=i, j=j, min_support=size, witness=witness, notes=tuple(notes),
         elapsed=time.perf_counter() - start, nodes_examined=nodes,
@@ -445,11 +454,11 @@ def min_support_exact_spectrum(
         raise ValueError("levels must be nonempty")
     if max_size is not None and (type(max_size) is not int or max_size < 0):
         raise ValueError(f"max_size must be a nonnegative int, got {max_size!r}")
-    _check_exhaustive(n, unsafe)
+    _check_exhaustive(n, unsafe, "unsafe")
     start = time.perf_counter()
     rows = _rows(n, target)
     cap = 1 << n if max_size is None else min(max_size, 1 << n)
-    best = None  # (size, colex support, values) of the best witness so far
+    best = None  # (size, colex support, int table) of the best witness so far
 
     def handle(supp, bound):
         nonlocal best
@@ -459,16 +468,16 @@ def min_support_exact_spectrum(
         wsize = len(combo) - combo.count(0)
         if wsize > bound:
             return bound
-        w = _normalize_witness(n, supp, combo)
-        key = (wsize, _colex_key(support(w)), w.values)
+        table = _table(n, supp, _normalize_witness(combo))
+        key = (wsize, _colex_key(x for x, v in enumerate(table) if v), table)
         best = key if best is None else min(best, key)
         return wsize
 
     nodes, _ = _dfs(n, rows, cap, handle)
-    size, _, values = best or (None, None, None)
+    size, _, table = best or (None, None, None)
     return SearchReport(
         n=n, levels=tuple(sorted(target)),
-        min_support=size, witness=None if best is None else VertexFunction(n, values),
+        min_support=size, witness=None if best is None else VertexFunction(n, tuple(table)),
         notes=() if best else ("no witness within the size cap",),
         elapsed=time.perf_counter() - start, nodes_examined=nodes,
     )
@@ -485,12 +494,7 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     no misses.
     """
     _check_band(n, i, j)
-    limit = EXHAUSTIVE_LIMIT if extended else CLASSIFY_LIMIT
-    if n > limit:
-        if extended:
-            raise ValueError(f"classification is exhaustive only for n <= {limit}")
-        raise LimitError(f"classification is exhaustive only for n <= {limit} "
-                         f"(pass {{}} for n={EXHAUSTIVE_LIMIT})", "extended")
+    _check_exhaustive(n, extended, "extended")
     start = time.perf_counter()
     rows = _rows(n, range(i, j + 1))
     size, supports, nodes = _scan_supports(n, rows)
@@ -499,8 +503,9 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     if size != expected:
         notes.append(f"minimum support {size} differs from the sharp bound {expected}")
     witnesses = [_witness(n, rows, supp, notes) for supp in supports]
-    forms = {cf.values: cf for cf in map(canonical_form, witnesses)}
-    classes = tuple(sorted(forms.values(), key=lambda c: c.values))
+    # a class holds primitive vectors of one multiset of |v|, so one table
+    tables = {tuple(_canonical(n, supp, w)) for supp, w in zip(supports, witnesses)}
+    classes = tuple(sorted((_unit_lead(n, t) for t in tables), key=lambda c: c.values))
     class_index = {c.values: idx for idx, c in enumerate(classes)}
     bps = enumerate_blueprints(n, i, j)
     bp_values = [canonical_form(build(bp)).values for bp in bps]
@@ -515,7 +520,7 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     if len(bps) != len(classes):
         mismatches.append(f"{len(classes)} search classes vs {len(bps)} blueprints")
     return SearchReport(
-        n=n, i=i, j=j, min_support=size, witness=witnesses[0],
+        n=n, i=i, j=j, min_support=size, witness=_function(n, supports[0], witnesses[0]),
         classes_found=classes, matched_blueprints=matched,
         ok=size == expected and not mismatches, notes=tuple(notes + mismatches),
         elapsed=time.perf_counter() - start, nodes_examined=nodes,

@@ -130,14 +130,6 @@ def reduction_check(f: VertexFunction, i: int, j: int, r: int) -> bool:
     all on H(n-1) with bands clipped to [0, n-1].
     """
     _check_band(f.n, i, j)
-    m = f.n - 1
-    f0 = restrict(f, r, 0)
-    f1 = restrict(f, r, 1)
-    lo, hi = _clip_band(i - 1, j - 1, m)
-    if not in_band(f0 - f1, lo, hi):
-        return False
-    lo, hi = _clip_band(i, j, m)
-    if not in_band(f0 + f1, lo, hi):
-        return False
-    lo, hi = _clip_band(i - 1, j, m)
-    return in_band(f0, lo, hi) and in_band(f1, lo, hi)
+    f0, f1 = restrict(f, r, 0), restrict(f, r, 1)
+    checks = ((f0 - f1, i - 1, j - 1), (f0 + f1, i, j), (f0, i - 1, j), (f1, i - 1, j))
+    return all(in_band(g, *_clip_band(lo, hi, f.n - 1)) for g, lo, hi in checks)

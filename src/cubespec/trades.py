@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .functions import VertexFunction, weight
+from .functions import VertexFunction, _scaled_ints, weight
 
 
 def _faces_balanced(n: int, weighted, t: int) -> bool:
@@ -41,10 +41,12 @@ def face_sums_vanish(f: VertexFunction, i: int) -> bool:
 
     This holds for every member of the level-i eigenspace and is the
     face-level mechanism behind the trade structure of optimal functions.
+    Sums run on the table scaled to ints: zero exactly when the rational ones are.
     """
     if not 1 <= i <= f.n:
         raise ValueError(f"level {i} out of range 1..{f.n}")
-    return _faces_balanced(f.n, [(x, v) for x, v in enumerate(f.values) if v], i - 1)
+    ints, _ = _scaled_ints(f.values)
+    return _faces_balanced(f.n, [(x, v) for x, v in enumerate(ints) if v], i - 1)
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,8 @@ class AffineSubspace:
     basis: tuple[int, ...]
 
     def __post_init__(self):
+        if any(type(x) is not int for x in (self.n, self.translation, *self.basis)) or self.n < 0:
+            raise ValueError(f"n, translation and basis must be ints, n >= 0, got {self!r}")
         if any(not 0 <= x < 1 << self.n for x in (self.translation, *self.basis)):
             raise ValueError(f"vertex code out of range for n={self.n}")
         reduced = _rref_gf2(self.basis)
@@ -171,6 +175,8 @@ def detect_affine(s, n: int) -> AffineSubspace | None:
     echelon basis of the difference set, or None if s is not affine.  The
     set is affine exactly when its size equals 2^(rank of the differences).
     """
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
     s = set(s)
     if not s:
         raise ValueError("detect_affine needs a nonempty vertex set")

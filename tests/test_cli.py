@@ -147,7 +147,7 @@ def test_min_support_guard_rails(capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (("verify-classification", "--n", "5", "--i", "2", "--j", "3"), "--extended-n5"),
+    (("verify-classification", "--n", "6", "--i", "2", "--j", "4"), "--unsafe-n"),
     (("min-support", "--n", "6", "--i", "2", "--j", "3"), "--unsafe-n"),
     (("min-support", "--n", "6", "--exact-spectrum", "0,3"), "--unsafe-n"),
 ])

@@ -51,8 +51,8 @@ def _run(argv: list[str]) -> tuple[dict, str]:
 
 def classification_record(n: int, i: int, j: int) -> dict:
     argv = ["verify-classification", "--n", str(n), "--i", str(i), "--j", str(j)]
-    if n == 5:
-        argv.append("--extended-n5")
+    if n >= 6:
+        argv.append("--unsafe-n")
     report, digest = _run(argv)
     return {
         "band": [n, i, j],

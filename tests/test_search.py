@@ -343,6 +343,40 @@ class TestCanonicalForm:
             f = make_function(n, vals)
             assert canonical_form(f) == naive_canonical_form(f), f
 
+    @staticmethod
+    def moved(n, codes, vec, perm, shift):
+        """The support and values of f o pi, pi a coordinate permutation plus translation."""
+        image = {sum(1 << perm[c] for c in range(n) if x >> c & 1) ^ shift: v for x, v in zip(codes, vec)}
+        return sorted(image), [image[y] for y in sorted(image)]
+
+    def test_int_tables_match_the_oracle_on_primitive_vectors(self, rng):
+        cases = []
+        for _ in range(60):
+            n = rng.choice((1, 2, 3, 3, 4, 4, 5))
+            codes = sorted(rng.sample(range(1 << n), rng.randint(1, min(6, 1 << n))))
+            vec = [rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4]) for _ in codes]
+            g = math.gcd(*vec)
+            vec = [v // g for v in vec]
+            perm = rng.sample(range(n), n)
+            cases += [(n, codes, vec), (n, codes, [-v for v in vec]),
+                      (n, *self.moved(n, codes, vec, perm, rng.randrange(1 << n)))]
+        results = []
+        for n, codes, vec in cases:
+            table = search._canonical(n, codes, vec)
+            values = [0] * (1 << n)
+            for x, v in zip(codes, vec):
+                values[x] = v
+            oracle = naive_canonical_form(make_function(n, values))
+            lead = next(v for v in table if v)
+            assert [Fraction(v, lead) for v in table] == list(oracle.values), (n, codes, vec)
+            results.append((n, table, oracle.values))
+        outcomes = set()
+        for (n, table, form), (m, other, other_form) in combinations(results, 2):
+            if n == m:
+                assert (table == other) == (form == other_form)
+                outcomes.add(form == other_form)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("n,i,j,witnesses,classes", [
         (6, 2, 6, 301, 9),
         pytest.param(7, 2, 7, 966, 12, marks=pytest.mark.skipif(
@@ -353,7 +387,8 @@ class TestCanonicalForm:
         size, supports, _ = search._scan_supports(n, rows)
         assert size == max(1 << i, 1 << (n - j)) and len(supports) == witnesses
         notes = []
-        forms = {canonical_form(search._witness(n, rows, supp, notes)).values for supp in supports}
+        forms = {canonical_form(search._function(n, supp, search._witness(n, rows, supp, notes))).values
+                 for supp in supports}
         assert notes == []
         blueprint_forms = [canonical_form(build(bp)).values for bp in enumerate_blueprints(n, i, j)]
         assert len(set(blueprint_forms)) == len(blueprint_forms) == classes
@@ -450,14 +485,15 @@ class TestVerifyClassification:
         assert not any("kernel dimension" in note for note in report.notes)
 
     def test_limit_error_names_the_keyword(self):
-        with pytest.raises(ValueError, match=r"pass extended=True for n=5"):
-            verify_classification(5, 2, 3)
+        with pytest.raises(ValueError, match=r"beyond n=5 needs extended=True"):
+            verify_classification(6, 2, 4)
 
     def test_extended_flag_gates_n5(self):
+        """extended lifts the exhaustive gate at n = 6, as unsafe does for min_support."""
         with pytest.raises(ValueError):
-            verify_classification(5, 3, 4)
-        with pytest.raises(ValueError):
-            verify_classification(6, 3, 4, extended=True)
+            verify_classification(6, 3, 4)
+        report = verify_classification(6, 2, 4, extended=True)
+        assert report.ok and len(report.classes_found) == 2
 
     # Band [2, 3] at n = 4 has two classes, matched by blueprints
     # a = ((), (2, 2), 0) at class 1 and b = ((1,), (2,), 1) at class 0;

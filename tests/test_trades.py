@@ -287,3 +287,22 @@ class TestAffineSubspace:
             AffineSubspace(2, 4, ())
         with pytest.raises(ValueError):
             AffineSubspace(2, 0, (0b100,))
+
+
+@pytest.mark.parametrize("make, args", [
+    (AffineSubspace, (True, 0, ())),
+    (AffineSubspace, (2.0, 0, ())),
+    (AffineSubspace, ("3", 0, ())),
+    (AffineSubspace, (-1, 0, ())),
+    (AffineSubspace, (2, True, ())),
+    (AffineSubspace, (2, 1.0, ())),
+    (AffineSubspace, (2, 0, (True,))),
+    (AffineSubspace, (2, 0, (0b01, 2.0))),
+    (detect_affine, ({0}, 2.0)),
+    (detect_affine, ({0}, True)),
+    (detect_affine, ({0}, "3")),
+    (detect_affine, ({0}, -1)),
+], ids=lambda v: getattr(v, "__name__", None) or repr(v))
+def test_non_int_dimension_and_codes_rejected(make, args):
+    with pytest.raises(ValueError):
+        make(*args)
