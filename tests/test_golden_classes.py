@@ -1,8 +1,9 @@
 """CLI search output, pinned byte for byte.
 
 tests/golden_classes.json holds, for every band with n <= 4 and the nine
-n = 5 bands [i, j] with i <= 2 and j >= 3 (bound <= 4), the minimum support,
-the number of classes and a sha256 of the stdout of verify-classification.
+bands [i, j] at each of n = 5 and 6 with i <= 2 and j >= n - 2 (bound
+<= 4), the minimum support, the number of classes and a sha256 of the
+stdout of verify-classification.
 tests/golden_exact_spectrum.json holds, for every nonempty level set at
 n = 2..4, the minimum support, the number of nodes examined and a sha256 of
 the stdout of min-support --exact-spectrum, the scan that descends through
@@ -29,7 +30,7 @@ GOLDEN = Path(__file__).with_name("golden_classes.json")
 GOLDEN_EXACT = Path(__file__).with_name("golden_exact_spectrum.json")
 
 BANDS = [(n, i, j) for n in range(1, 5) for i in range(n + 1) for j in range(i, n + 1)] + [
-    (5, i, j) for i in range(3) for j in range(3, 6)
+    (n, i, j) for n in (5, 6) for i in range(3) for j in range(n - 2, n + 1)
 ]
 
 LEVEL_SETS = [
