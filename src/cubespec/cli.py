@@ -49,7 +49,18 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-_N, _I, _J = (_arg(f"--{name}", type=int, required=True) for name in "nij")
+def _int(text: str) -> int:
+    """The one int grammar of every flag and level: -?[0-9]+, a JSON rational's numerator."""
+    if functions._INT_RE.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _int_list(text: str) -> list[int]:
+    return [_int(part) for part in text.split(",")] if text else []
+
+
+_N, _I, _J = (_arg(f"--{name}", type=_int, required=True) for name in "nij")
 _BAND = (_N, _I, _J)
 _TIMING = _arg("--timing", action="store_true", help="include elapsed seconds in the report")
 _PATHS = _arg("paths", nargs=2, metavar="PATH", help="two function files, '-' for stdin")
@@ -76,13 +87,6 @@ def _read_json(path: str, inline: str | None = None):
         raise ValueError(f"invalid JSON input: {exc}") from None
 
 
-def _parse_levels(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"bad level list {text!r}; expected comma-separated integers") from None
-
-
 def _function(doc):
     return serialize.function_from_dict(doc)
 
@@ -94,8 +98,7 @@ def _vertex_set(doc):
 
 def cmd_build_optimal(args, _):
     bps = constructions.enumerate_blueprints(args.n, args.i, args.j)
-    if not 0 <= args.index < len(bps):
-        raise ValueError(f"index {args.index} out of range; {len(bps)} blueprints exist")
+    functions._check_int("index", args.index, 0, len(bps) - 1)
     return serialize.function_to_dict(constructions.build(bps[args.index]))
 
 
@@ -123,11 +126,7 @@ def cmd_min_support(args, _):
     elif args.i is not None or args.j is not None:
         raise ValueError("min-support takes either --i and --j or --exact-spectrum, not both")
     else:
-        report = search.min_support_exact_spectrum(
-            args.n,
-            _parse_levels(args.exact_spectrum),
-            unsafe=args.unsafe_n,
-        )
+        report = search.min_support_exact_spectrum(args.n, args.exact_spectrum, unsafe=args.unsafe_n)
     return serialize.search_report_to_dict(report, with_timing=args.timing)
 
 
@@ -194,23 +193,23 @@ def cmd_demo(args, _):
 
 COMMANDS = (
     Command("build-optimal", "build one optimal function for a band", None, _BAND + (
-        _arg("--index", type=int, default=0, help="blueprint index from `enumerate`"),
+        _arg("--index", type=_int, default=0, help="blueprint index from `enumerate`"),
     ), cmd_build_optimal),
     Command("enumerate", "list the blueprints of optimal functions", None, _BAND, cmd_enumerate),
     Command("spectrum", "levels with nonzero Fourier coefficient", _function, (),
             lambda args, f: serialize.spectrum_to_dict(spectral.spectrum(f))),
     Command("project", "component in one eigenvalue level", _function, (
-        _arg("--level", type=int, required=True),
+        _arg("--level", type=_int, required=True),
     ), lambda args, f: serialize.function_to_dict(spectral.level_project(f, args.level))),
     Command("in-band", "test membership in a band of levels", _function, (_I, _J),
             lambda args, f: {"i": args.i, "in_band": spectral.in_band(f, args.i, args.j),
                              "j": args.j}),
     Command("eigen-check", "test the adjacency eigenvalue relation directly", _function, (
-        _arg("--lambda", dest="lam", type=int, required=True),
+        _arg("--lambda", dest="lam", type=_int, required=True),
     ), lambda args, f: {"holds": spectral.check_eigen_relation(f, args.lam), "lambda": args.lam}),
     Command("verify-trade", "balance test over all faces of codimension t",
             lambda doc: serialize.trade_pair_from_dict(doc), (
-                _arg("--t", type=int, required=True),
+                _arg("--t", type=_int, required=True),
             ), lambda args, tp: {"is_trade": trades.is_trade(tp, args.t), "t": args.t}),
     Command("anf-degree", "algebraic degree of a 0/1 indicator", _function, (),
             lambda args, f: {"degree": trades.anf_degree(f)}),
@@ -222,9 +221,9 @@ COMMANDS = (
                                    t=sub.dimension - 1)),
     Command("min-support", "exhaustive minimum-support search", None, (
         _N,
-        _arg("--i", type=int),
-        _arg("--j", type=int),
-        _arg("--exact-spectrum", help="comma-separated levels, e.g. 0,3"),
+        _arg("--i", type=_int),
+        _arg("--j", type=_int),
+        _arg("--exact-spectrum", type=_int_list, help="comma-separated levels, e.g. 0,3"),
         _UNSAFE,
         _TIMING,
     ), cmd_min_support),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .functions import MAX_DIMENSION, VertexFunction, tensor
+from .functions import MAX_DIMENSION, VertexFunction, _check_int, tensor
 from .spectral import SpectrumSet, _check_band
 
 LOWER = "LOWER"
@@ -25,10 +25,7 @@ UPPER = "UPPER"
 
 def _block(name: str, k: int, k_min: int, top: int) -> VertexFunction:
     """name's block on H(k): top at the all-ones vertex, then +1 at the all-zeros one."""
-    if type(k) is not int or k < k_min:
-        raise ValueError(f"{name} needs k >= {k_min}, got {k!r}")
-    if k > MAX_DIMENSION:
-        raise ValueError(f"block size {k} exceeds the dimension cap {MAX_DIMENSION}")
+    _check_int(f"{name} size", k, k_min, MAX_DIMENSION)
     vals = [Fraction(0)] * (1 << k)
     vals[-1] = Fraction(top)
     vals[0] = Fraction(1)
@@ -70,17 +67,18 @@ class Blueprint:
         if self.case not in (LOWER, UPPER):
             raise ValueError(f"case must be {LOWER} or {UPPER}, got {self.case!r}")
         odd, even = tuple(self.odd_parts), tuple(self.even_parts)
-        if any(type(v) is not int for v in (*odd, *even, self.remainder, self.n)):
-            raise ValueError(f"blueprint parts, remainder and n must be ints, got odd={odd} "
-                             f"even={even} r={self.remainder!r} n={self.n!r}")
+        for p in odd:
+            _check_int("odd part", p, 1)
+        for p in even:
+            _check_int("even part", p, 2)
+        _check_int("remainder", self.remainder)
+        _check_int("n", self.n)
         object.__setattr__(self, "odd_parts", tuple(sorted(odd, reverse=True)))
         object.__setattr__(self, "even_parts", tuple(sorted(even, reverse=True)))
-        if any(p < 1 or p % 2 == 0 for p in self.odd_parts):
-            raise ValueError(f"odd parts must be odd and >= 1, got {self.odd_parts}")
-        if any(p < 2 or p % 2 == 1 for p in self.even_parts):
-            raise ValueError(f"even parts must be even and >= 2, got {self.even_parts}")
-        if self.remainder < 0:
-            raise ValueError(f"remainder must be nonnegative, got {self.remainder}")
+        if any(p % 2 == 0 for p in self.odd_parts):
+            raise ValueError(f"odd parts must be odd, got {self.odd_parts}")
+        if any(p % 2 == 1 for p in self.even_parts):
+            raise ValueError(f"even parts must be even, got {self.even_parts}")
         total = sum(self.odd_parts) + sum(self.even_parts) + self.remainder
         if total != self.n:
             raise ValueError(f"parts plus remainder sum to {total}, expected n={self.n}")
@@ -189,6 +187,7 @@ def is_progression_spectrum(s: SpectrumSet, i: int, j: int, band_side: str) -> b
     Every optimal function's spectrum has this shape; a band member whose
     spectrum does not is strictly above the support bound.
     """
+    _check_band(s.n, i, j)
     if band_side not in (LOWER, UPPER):
         raise ValueError(f"band_side must be {LOWER} or {UPPER}, got {band_side!r}")
     levels = s.sorted_levels

@@ -27,7 +27,15 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 MAX_DIMENSION = 24
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?", re.ASCII)
+_INT_RE = re.compile(r"-?\d+", re.ASCII)
+_RATIONAL_RE = re.compile(rf"({_INT_RE.pattern})(?:/([1-9]\d*))?", re.ASCII)
+
+
+def _check_int(what: str, value, lo: int = 0, hi: int | None = None) -> None:
+    """The one int rule: value must be an int (not a bool) in [lo, hi], or >= lo when hi is None."""
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{what} must be an int {bound}, got {value!r}")
 
 
 def weight(code: int) -> int:
@@ -64,8 +72,7 @@ class VertexFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if type(self.n) is not int or not 0 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [0, {MAX_DIMENSION}], got {self.n!r}")
+        _check_int("dimension", self.n, 0, MAX_DIMENSION)
         if len(self.values) != 1 << self.n:
             raise ValueError(
                 f"value table has length {len(self.values)}, expected {1 << self.n} for n={self.n}"
@@ -109,10 +116,12 @@ def make_function(n: int, values) -> VertexFunction:
 
 
 def zero_function(n: int) -> VertexFunction:
+    _check_int("dimension", n, 0, MAX_DIMENSION)
     return VertexFunction(n, (Fraction(0),) * (1 << n))
 
 
 def constant_function(n: int, c) -> VertexFunction:
+    _check_int("dimension", n, 0, MAX_DIMENSION)
     return VertexFunction(n, (as_fraction(c),) * (1 << n))
 
 
@@ -163,10 +172,8 @@ def restrict(f: VertexFunction, r: int, k: int) -> VertexFunction:
     """Fix coordinate r (1-based) to bit k; returns the slice on H(n-1)."""
     if f.n < 1:
         raise ValueError("cannot restrict a function on H(0)")
-    if type(r) is not int or not 1 <= r <= f.n:
-        raise ValueError(f"coordinate {r!r} out of range 1..{f.n}")
-    if type(k) is not int or k not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {k!r}")
+    _check_int("coordinate", r, 1, f.n)
+    _check_int("bit", k, 0, 1)
     b = r - 1
     low_mask = (1 << b) - 1
     vals = []

@@ -41,7 +41,7 @@ from fractions import Fraction
 from operator import lshift
 
 from .constructions import Blueprint, build, enumerate_blueprints
-from .functions import VertexFunction, _scaled_ints
+from .functions import VertexFunction, _check_int, _scaled_ints
 from .spectral import SpectrumSet, _check_band, _levels
 
 EXHAUSTIVE_LIMIT = 5
@@ -452,8 +452,8 @@ def min_support_exact_spectrum(
     target = SpectrumSet(n, levels).levels
     if not target:
         raise ValueError("levels must be nonempty")
-    if max_size is not None and (type(max_size) is not int or max_size < 0):
-        raise ValueError(f"max_size must be a nonnegative int, got {max_size!r}")
+    if max_size is not None:
+        _check_int("max_size", max_size)
     _check_exhaustive(n, unsafe, "unsafe")
     start = time.perf_counter()
     rows = _rows(n, target)

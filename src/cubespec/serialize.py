@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .constructions import Blueprint
-from .functions import VertexFunction, fraction_from_str
+from .functions import VertexFunction, _check_int, fraction_from_str
 from .search import SearchReport
 from .spectral import SpectrumSet
 from .trades import AffineSubspace, TradePair
@@ -52,8 +52,8 @@ def function_from_dict(payload: dict) -> VertexFunction:
 
 
 def vertex_to_bitstring(code: int, n: int) -> str:
-    if not 0 <= code < (1 << n):
-        raise ValueError(f"vertex code {code} out of range for n={n}")
+    _check_int("n", n)
+    _check_int("vertex code", code, 0, (1 << n) - 1)
     return "".join("1" if code >> c & 1 else "0" for c in range(n))
 
 

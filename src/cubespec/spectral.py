@@ -16,6 +16,7 @@ from .functions import (
     MAX_DIMENSION,
     VertexFunction,
     _butterfly,
+    _check_int,
     _scaled_ints,
     restrict,
     weight,
@@ -23,8 +24,12 @@ from .functions import (
 
 
 def _check_band(n: int, i: int, j: int) -> None:
-    if any(type(v) is not int for v in (n, i, j)) or not 0 <= i <= j <= n:
-        raise ValueError(f"invalid band [{i}, {j}] for n={n}")
+    try:
+        _check_int("n", n)
+        _check_int("i", i, 0, n)
+        _check_int("j", j, i, n)
+    except ValueError:
+        raise ValueError(f"invalid band [{i}, {j}] for n={n}") from None
 
 
 @dataclass(frozen=True)
@@ -39,14 +44,10 @@ class SpectrumSet:
     levels: frozenset[int]
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 0:
-            raise ValueError(f"n must be a nonnegative int, got {self.n!r}")
+        _check_int("n", self.n)
         object.__setattr__(self, "levels", frozenset(self.levels))
         for i in self.levels:
-            if type(i) is not int:
-                raise ValueError(f"level {i!r} is {type(i).__name__}, expected int")
-        if any(not 0 <= i <= self.n for i in self.levels):
-            raise ValueError(f"levels {sorted(self.levels)} out of range 0..{self.n}")
+            _check_int("level", i, 0, self.n)
 
     @property
     def sorted_levels(self) -> tuple[int, ...]:
@@ -61,10 +62,8 @@ class SpectrumSet:
 
 def character(n: int, u: int) -> VertexFunction:
     """The character chi_u(x) = (-1)^(u.x), a +-1 valued function on H(n)."""
-    if type(n) is not int or not 0 <= n <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [0, {MAX_DIMENSION}], got {n!r}")
-    if type(u) is not int or not 0 <= u < (1 << n):
-        raise ValueError(f"vertex code {u!r} out of range for n={n}")
+    _check_int("dimension", n, 0, MAX_DIMENSION)
+    _check_int("vertex code", u, 0, (1 << n) - 1)
     one = Fraction(1)
     vals = tuple(-one if weight(u & x) & 1 else one for x in range(1 << n))
     return VertexFunction(n, vals)
@@ -72,8 +71,8 @@ def character(n: int, u: int) -> VertexFunction:
 
 def eigenvalue_of_level(n: int, i: int) -> int:
     """Adjacency eigenvalue of H(n) attached to level i."""
-    if not 0 <= i <= n:
-        raise ValueError(f"level {i} out of range 0..{n}")
+    _check_int("n", n)
+    _check_int("level", i, 0, n)
     return n - 2 * i
 
 
@@ -93,8 +92,7 @@ def level_project(f: VertexFunction, i: int) -> VertexFunction:
     Transforms, masks and transforms back the table scaled to ints by the
     lcm d of its denominators, then divides by d * 2^n.
     """
-    if not 0 <= i <= f.n:
-        raise ValueError(f"level {i} out of range 0..{f.n}")
+    _check_int("level", i, 0, f.n)
     ints, d = _scaled_ints(f.values)
     masked = [c if u.bit_count() == i else 0 for u, c in enumerate(_butterfly(ints))]
     d <<= f.n

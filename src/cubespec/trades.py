@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .functions import VertexFunction, _scaled_ints, weight
+from .functions import VertexFunction, _check_int, _scaled_ints, weight
 
 
 def _faces_balanced(n: int, weighted, t: int) -> bool:
@@ -43,8 +43,7 @@ def face_sums_vanish(f: VertexFunction, i: int) -> bool:
     face-level mechanism behind the trade structure of optimal functions.
     Sums run on the table scaled to ints: zero exactly when the rational ones are.
     """
-    if not 1 <= i <= f.n:
-        raise ValueError(f"level {i} out of range 1..{f.n}")
+    _check_int("level", i, 1, f.n)
     ints, _ = _scaled_ints(f.values)
     return _faces_balanced(f.n, [(x, v) for x, v in enumerate(ints) if v], i - 1)
 
@@ -62,17 +61,14 @@ class TradePair:
             raise ValueError("both sets of a trade pair must be nonempty")
         if self.t0 & self.t1:
             raise ValueError("trade pair sets must be disjoint")
-        if type(self.n) is not int or self.n < 0:
-            raise ValueError(f"n must be a nonnegative int, got {self.n!r}")
-        top = 1 << self.n
-        if any(x >= top or x < 0 for x in self.t0 | self.t1):
-            raise ValueError(f"vertex code out of range for n={self.n}")
+        _check_int("n", self.n)
+        for x in self.t0 | self.t1:
+            _check_int("vertex code", x, 0, (1 << self.n) - 1)
 
 
 def is_trade(tp: TradePair, t: int) -> bool:
     """Balance test: every (n-t)-face holds equally many of t0 and t1."""
-    if type(t) is not int or not 0 <= t <= tp.n:
-        raise ValueError(f"trade parameter {t!r} out of range 0..{tp.n}")
+    _check_int("trade parameter", t, 0, tp.n)
     weighted = [(x, 1) for x in tp.t0] + [(x, -1) for x in tp.t1]
     return _faces_balanced(tp.n, weighted, t)
 
@@ -129,10 +125,9 @@ class AffineSubspace:
     basis: tuple[int, ...]
 
     def __post_init__(self):
-        if any(type(x) is not int for x in (self.n, self.translation, *self.basis)) or self.n < 0:
-            raise ValueError(f"n, translation and basis must be ints, n >= 0, got {self!r}")
-        if any(not 0 <= x < 1 << self.n for x in (self.translation, *self.basis)):
-            raise ValueError(f"vertex code out of range for n={self.n}")
+        _check_int("n", self.n)
+        for x in (self.translation, *self.basis):
+            _check_int("vertex code", x, 0, (1 << self.n) - 1)
         reduced = _rref_gf2(self.basis)
         if len(reduced) != len(self.basis):
             raise ValueError(f"affine basis {list(self.basis)} has a zero or dependent vector")
@@ -175,13 +170,12 @@ def detect_affine(s, n: int) -> AffineSubspace | None:
     echelon basis of the difference set, or None if s is not affine.  The
     set is affine exactly when its size equals 2^(rank of the differences).
     """
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a nonnegative int, got {n!r}")
+    _check_int("n", n)
     s = set(s)
     if not s:
         raise ValueError("detect_affine needs a nonempty vertex set")
-    if any(not 0 <= x < (1 << n) for x in s):
-        raise ValueError(f"vertex code out of range for n={n}")
+    for x in s:
+        _check_int("vertex code", x, 0, (1 << n) - 1)
     t = min(s)
     basis = _rref_gf2(sorted(x ^ t for x in s))
     if 1 << len(basis) != len(s):

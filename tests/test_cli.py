@@ -158,6 +158,48 @@ def test_limit_errors_name_the_flag(capsys, argv, flag):
     assert flag in message and "=True" not in message
 
 
+PHI2 = '{"n": 2, "values": ["1", "0", "0", "-1"]}'
+TRADE = '{"n": 2, "t0": ["00", "11"], "t1": ["10", "01"]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("min-support", "--n", "3", "--exact-spectrum", "\u0660,\u0663"),  # Arabic-Indic 0,3
+    ("min-support", "--n", "3", "--exact-spectrum", "0,0_3"),
+    ("min-support", "--n", "3", "--exact-spectrum", "+0,3"),
+    ("min-support", "--n", "3", "--exact-spectrum", " 0, 3"),
+    ("min-support", "--n", "3", "--exact-spectrum", "0,,3"),
+    ("min-support", "--n", "3", "--exact-spectrum", "0,3,"),
+    ("min-support", "--n", "\u0663", "--i", "1", "--j", "2"),
+    ("min-support", "--n", "+3", "--i", "1", "--j", "2"),
+    ("min-support", "--n", " 3", "--i", "1", "--j", "2"),
+    ("min-support", "--n", "0_3", "--i", "1", "--j", "2"),
+    ("enumerate", "--n", "4", "--i", "\uff12", "--j", "3"),  # fullwidth 2
+    ("build-optimal", "--n", "4", "--i", "2", "--j", "3", "--index", "+0"),
+    ("project", "--level", "1 ", "--inline", PHI2),
+    ("eigen-check", "--lambda", "-\u0662", "--inline", PHI2),
+    ("in-band", "--i", "0", "--j", "\u0662", "--inline", PHI2),
+    ("verify-trade", "--t", "\u0661", "--inline", TRADE),
+], ids=repr)
+def test_int_flags_and_levels_take_ascii_digits_only(capsys, argv):
+    assert_contract_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (("min-support", "--n", "03", "--exact-spectrum", "0,3"),
+     ("min-support", "--n", "3", "--exact-spectrum", "0,3")),
+    (("eigen-check", "--lambda", "-0", "--inline", PHI2), ("eigen-check", "--lambda", "0", "--inline", PHI2)),
+])
+def test_ascii_int_grammar_keeps_its_accepted_forms(capsys, argv, same_as):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, *same_as) and code == 0
+
+
+def test_empty_level_list_gives_the_library_error(capsys):
+    code, out, err = run(capsys, "min-support", "--n", "3", "--exact-spectrum", "")
+    assert_contract_error(code, out, err)
+    assert json.loads(err)["error"] == "levels must be nonempty"
+
+
 def test_canonical_and_equivalent(tmp_path, capsys):
     a = write_function(tmp_path, "a.json", phi(2))
     b = write_function(tmp_path, "b.json", phi(2).scale(-3))

@@ -44,7 +44,7 @@ class TestBlocks:
         with pytest.raises(ValueError):
             point_mass(-1)
 
-    @pytest.mark.parametrize("block,k,message", [
+    @pytest.mark.parametrize("block,k,case", [
         (phi, 0, "phi needs k >= 1, got 0"), (psi, -2, "psi needs k >= 1, got -2"),
         (point_mass, -1, "point_mass needs k >= 0, got -1"),
         (phi, 25, "block size 25 exceeds the dimension cap 24"),
@@ -52,7 +52,10 @@ class TestBlocks:
         (phi, 2.0, "phi needs k >= 1, got 2.0"), (psi, True, "psi needs k >= 1, got True"),
         (point_mass, "1", "point_mass needs k >= 0, got '1'"),
     ])
-    def test_size_errors(self, block, k, message):
+    def test_size_errors(self, block, k, case):
+        # case describes the violation; every block reports it in the int rule's one message
+        k_min = 0 if block is point_mass else 1
+        message = f"{block.__name__} size must be an int in [{k_min}, 24], got {k!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             block(k)
 
@@ -88,7 +91,9 @@ class TestBlueprint:
         ((1, "3"), (), 0, 4), ((3, 1.0), (), 0, 4),
     ], ids=repr)
     def test_rejects_non_int_fields_before_sorting(self, odd, even, r, n):
-        with pytest.raises(ValueError, match="must be ints"):
+        bad = next(v for v in (*odd, *even, r, n) if type(v) is not int)
+        message = rf"^(odd part|even part|remainder|n) must be an int >= \d, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             Blueprint(LOWER, odd, even, r, n)
 
 

@@ -78,7 +78,7 @@ class TestMakeFunction:
 class TestVertexFunctionValues:
     @pytest.mark.parametrize("n", [True, 2.0, "2", None], ids=repr)
     def test_rejects_non_int_dimension(self, n):
-        with pytest.raises(ValueError, match=re.escape(f"dimension must be in [0, 24], got {n!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"dimension must be an int in [0, 24], got {n!r}")):
             VertexFunction(n, (1, 2, 3, 4))
 
     @pytest.mark.parametrize("bad", [True, 0.5, "1", None], ids=["bool", "float", "str", "None"])

@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 
 from cubespec import (
+    LOWER,
     SpectrumSet,
     character,
     check_eigen_relation,
     constant_function,
     eigenvalue_of_level,
     enumerate_blueprints,
+    face_sums_vanish,
     in_band,
+    is_progression_spectrum,
     level_project,
     make_function,
     min_support,
@@ -64,7 +67,7 @@ def test_spectrum_set_validation():
 
 @pytest.mark.parametrize("n", [True, -1, 2.0, "2", None], ids=repr)
 def test_spectrum_set_rejects_bad_dimension(n):
-    with pytest.raises(ValueError, match="n must be a nonnegative int"):
+    with pytest.raises(ValueError, match=re.escape(f"n must be an int >= 0, got {n!r}")):
         SpectrumSet(n, {1} if n is True else set())
 
 
@@ -76,7 +79,7 @@ def test_spectrum_set_stores_a_frozenset():
 
 @pytest.mark.parametrize("level", [1.0, True, Fraction(1), "1"], ids=["float", "bool", "Fraction", "str"])
 def test_spectrum_set_rejects_non_int_levels(level):
-    message = re.escape(f"level {level!r} is {type(level).__name__}, expected int")
+    message = re.escape(f"level must be an int in [0, 2], got {level!r}")
     with pytest.raises(ValueError, match=message):
         SpectrumSet(2, frozenset({0, level}))
 
@@ -173,6 +176,25 @@ def test_band_check_rejects_a_non_int_dimension(n):
 def test_character_rejects_non_int_or_out_of_range_arguments(n, u):
     with pytest.raises(ValueError, match="^(dimension|vertex code)"):
         character(n, u)
+
+
+@pytest.mark.parametrize("call,args,message", [
+    (eigenvalue_of_level, (2.0, 1), "n must be an int >= 0, got 2.0"),
+    (eigenvalue_of_level, (2, True), "level must be an int in [0, 2], got True"),
+    (face_sums_vanish, (1.0,), "level must be an int in [1, 2], got 1.0"),
+    (face_sums_vanish, (True,), "level must be an int in [1, 2], got True"),
+    (level_project, (1.0,), "level must be an int in [0, 2], got 1.0"),
+    (level_project, (True,), "level must be an int in [0, 2], got True"),
+    (is_progression_spectrum, (1.0, 2, LOWER), "invalid band [1.0, 2] for n=3"),
+    (zero_function, (2.0,), "dimension must be an int in [0, 24], got 2.0"),
+    (constant_function, ("2", 1), "dimension must be an int in [0, 24], got '2'"),
+], ids=lambda v: getattr(v, "__name__", None) or repr(v))
+def test_levels_and_dimensions_follow_the_int_rule(call, args, message):
+    # functions of f take phi(2), is_progression_spectrum a spectrum at n = 3
+    first = {face_sums_vanish: (phi(2),), level_project: (phi(2),),
+             is_progression_spectrum: (SpectrumSet(3, {1}),)}.get(call, ())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*first, *args)
 
 
 class TestEigenRelation:

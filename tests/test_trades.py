@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cubespec import (
@@ -116,7 +118,7 @@ class TestIsTrade:
 
     @pytest.mark.parametrize("n", [2.0, True, "2", -1], ids=repr)
     def test_pair_rejects_a_bad_dimension(self, n):
-        with pytest.raises(ValueError, match="^n must be a nonnegative int"):
+        with pytest.raises(ValueError, match=f"^n must be an int >= 0, got {re.escape(repr(n))}"):
             TradePair(frozenset({0}), frozenset({1}), n)
 
     @pytest.mark.parametrize("t", [1.0, True, -1, 3], ids=repr)
@@ -302,6 +304,11 @@ class TestAffineSubspace:
     (detect_affine, ({0}, True)),
     (detect_affine, ({0}, "3")),
     (detect_affine, ({0}, -1)),
+    (detect_affine, ({1.0}, 2)),
+    (detect_affine, ({0, True}, 2)),
+    (TradePair, (frozenset({True}), frozenset({0}), 1)),
+    (TradePair, (frozenset({1.0}), frozenset({0}), 1)),
+    (TradePair, (frozenset({1.5}), frozenset({0}), 1)),
 ], ids=lambda v: getattr(v, "__name__", None) or repr(v))
 def test_non_int_dimension_and_codes_rejected(make, args):
     with pytest.raises(ValueError):
