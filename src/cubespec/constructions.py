@@ -174,10 +174,8 @@ def single_level_blueprint(n: int, i: int) -> Blueprint:
     For i >= n/2: LOWER with 2i-n odd parts of size 1 and n-i even parts of
     size 2; for i < n/2 the mirrored UPPER blueprint.
     """
-    _check_band(n, i, i)
-    if 2 * i >= n:
-        return Blueprint(LOWER, (1,) * (2 * i - n), (2,) * (n - i), 0, n)
-    return Blueprint(UPPER, (1,) * (n - 2 * i), (2,) * i, 0, n)
+    (bp,) = enumerate_blueprints(n, i, i)
+    return bp
 
 
 def is_progression_spectrum(s: SpectrumSet, i: int, j: int, band_side: str) -> bool:

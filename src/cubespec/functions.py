@@ -31,11 +31,11 @@ _INT_RE = re.compile(r"-?\d+", re.ASCII)
 _RATIONAL_RE = re.compile(rf"({_INT_RE.pattern})(?:/([1-9]\d*))?", re.ASCII)
 
 
-def _check_int(what: str, value, lo: int = 0, hi: int | None = None) -> None:
-    """The one int rule: value must be an int (not a bool) in [lo, hi], or >= lo when hi is None."""
-    if type(value) is not int or value < lo or (hi is not None and value > hi):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValueError(f"{what} must be an int {bound}, got {value!r}")
+def _check_int(what: str, value, lo: int | None = 0, hi: int | None = None) -> None:
+    """The one int rule: value must be an int (not a bool) in [lo, hi]; a None bound is open."""
+    if type(value) is not int or (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        raise ValueError(f"{what} must be an int{bound}, got {value!r}")
 
 
 def weight(code: int) -> int:
@@ -175,12 +175,7 @@ def restrict(f: VertexFunction, r: int, k: int) -> VertexFunction:
     _check_int("coordinate", r, 1, f.n)
     _check_int("bit", k, 0, 1)
     b = r - 1
-    low_mask = (1 << b) - 1
-    vals = []
-    for y in range(1 << (f.n - 1)):
-        code = ((y & ~low_mask) << 1) | (k << b) | (y & low_mask)
-        vals.append(f.values[code])
-    return VertexFunction(f.n - 1, tuple(vals))
+    return VertexFunction(f.n - 1, tuple(v for x, v in enumerate(f.values) if (x >> b & 1) == k))
 
 
 def parity_twist(f: VertexFunction) -> VertexFunction:

@@ -111,6 +111,7 @@ def check_eigen_relation(f: VertexFunction, lam: int) -> bool:
     Works straight from the value table, independently of the transform,
     on the integers of the table scaled by the lcm of its denominators.
     """
+    _check_int("lambda", lam, None)
     vals, _ = _scaled_ints(f.values)
     bits = [1 << b for b in range(f.n)]
     return all(sum(vals[x ^ b] for b in bits) == lam * v for x, v in enumerate(vals))

@@ -8,32 +8,21 @@ is an affine subspace whose characteristic function has low algebraic
 degree, and the subspace splits back into the trade by parity over a
 disjoint-support basis.  This module provides each of those ingredients
 as an independently testable operation.
+
+No face is enumerated: every face fixing the coordinates of P sums g to
+zero exactly when g's transform vanishes at every mask inside P, so the
+faces fixing m coordinates all do exactly when g has no level <= m.
+tests/test_trades.py checks both face tests against tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import xor
 
 from .functions import VertexFunction, _check_int, _scaled_ints, weight
-
-
-def _faces_balanced(n: int, weighted, t: int) -> bool:
-    """True iff every (n-t)-face sums the (code, weight) pairs to zero.
-
-    The face fixing the coordinates of a t-set P at given bits is
-    identified by x & mask(P), so one pass over the pairs per t-set
-    projects every pair onto its face and accumulates all 2^t face sums.
-    """
-    for positions in combinations(range(n), t):
-        mask = sum(1 << c for c in positions)
-        sums = {}
-        for x, w in weighted:
-            key = x & mask
-            sums[key] = sums.get(key, 0) + w
-        if any(sums.values()):
-            return False
-    return True
+from .spectral import _levels
 
 
 def face_sums_vanish(f: VertexFunction, i: int) -> bool:
@@ -41,11 +30,10 @@ def face_sums_vanish(f: VertexFunction, i: int) -> bool:
 
     This holds for every member of the level-i eigenspace and is the
     face-level mechanism behind the trade structure of optimal functions.
-    Sums run on the table scaled to ints: zero exactly when the rational ones are.
+    Computed as: every level of f's table, scaled to ints, is >= i.
     """
     _check_int("level", i, 1, f.n)
-    ints, _ = _scaled_ints(f.values)
-    return _faces_balanced(f.n, [(x, v) for x, v in enumerate(ints) if v], i - 1)
+    return all(a >= i for a in _levels(_scaled_ints(f.values)[0]))
 
 
 @dataclass(frozen=True)
@@ -67,10 +55,14 @@ class TradePair:
 
 
 def is_trade(tp: TradePair, t: int) -> bool:
-    """Balance test: every (n-t)-face holds equally many of t0 and t1."""
+    """Balance test: every (n-t)-face holds equally many of t0 and t1.
+
+    Computed as: every level of the table that is +1 on t0, -1 on t1 and
+    0 elsewhere is > t.  Never true at t = n, where faces are vertices.
+    """
     _check_int("trade parameter", t, 0, tp.n)
-    weighted = [(x, 1) for x in tp.t0] + [(x, -1) for x in tp.t1]
-    return _faces_balanced(tp.n, weighted, t)
+    table = [(x in tp.t0) - (x in tp.t1) for x in range(1 << tp.n)]
+    return all(a > t for a in _levels(table))
 
 
 def sign_split(f: VertexFunction) -> TradePair:
@@ -93,7 +85,7 @@ def three_values_check(f: VertexFunction) -> bool:
 def anf_degree(indicator: VertexFunction) -> int:
     """Algebraic degree of a 0/1-valued function.
 
-    Computed by the in-place Moebius butterfly over Z_2: the coefficient at
+    Computed by the Moebius butterfly over Z_2: the coefficient at
     monomial mask m is the XOR of the values over the subcube below m, and
     the degree is the largest popcount of a nonzero coefficient mask.
     """
@@ -102,13 +94,12 @@ def anf_degree(indicator: VertexFunction) -> int:
     coeffs = [int(v) for v in indicator.values]
     if not any(coeffs):
         raise ValueError("anf_degree expects a nonzero indicator")
-    size = len(coeffs)
-    h = 1
-    while h < size:
-        for i in range(0, size, h * 2):
-            for j in range(i, i + h):
-                coeffs[j + h] ^= coeffs[j]
-        h *= 2
+    # one stage per coordinate, as in functions._butterfly: the top bit to bit 0
+    half = len(coeffs) >> 1
+    for _ in range(half.bit_length()):
+        lo, hi = coeffs[:half], coeffs[half:]
+        coeffs[0::2] = lo
+        coeffs[1::2] = map(xor, lo, hi)
     return max(weight(m) for m, c in enumerate(coeffs) if c)
 
 

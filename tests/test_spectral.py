@@ -198,6 +198,18 @@ def test_levels_and_dimensions_follow_the_int_rule(call, args, message):
 
 
 class TestEigenRelation:
+    @pytest.mark.parametrize("lam", ["1", 0.0, True, Fraction(0), None], ids=repr)
+    def test_lambda_follows_the_int_rule(self, lam):
+        with pytest.raises(ValueError, match=f"^lambda must be an int, got {re.escape(repr(lam))}$"):
+            check_eigen_relation(phi(2), lam)
+
+    def test_any_int_lambda_is_a_question(self):
+        # phi(2) lies at level 1, eigenvalue 0; the zero function satisfies every lambda
+        assert check_eigen_relation(phi(2), 0)
+        for lam in (-(10**30), -3, -1, 1, 3, 10**30):
+            assert not check_eigen_relation(phi(2), lam)
+            assert check_eigen_relation(zero_function(2), lam)
+
     def test_characters(self):
         for n in range(1, 7):
             for u in range(1 << n):

@@ -12,6 +12,7 @@ from cubespec import (
     character,
     constant_function,
     detect_affine,
+    enumerate_blueprints,
     face_sums_vanish,
     has_disjoint_support_basis,
     is_trade,
@@ -29,6 +30,13 @@ from cubespec import (
 )
 from conftest import random_band_function
 from oracles import faces, naive_anf_degree, naive_is_trade
+
+
+def moved(tp, perm, shift):
+    """tp under the coordinate permutation perm followed by a translation by shift."""
+    def move(x):
+        return sum(1 << perm[c] for c in range(tp.n) if x >> c & 1) ^ shift
+    return TradePair(frozenset(map(move, tp.t0)), frozenset(map(move, tp.t1)), tp.n)
 
 
 class TestFaces:
@@ -85,15 +93,17 @@ class TestFaceSums:
             assert face_sums_vanish(random_band_function(rng, n, i, i), i)
 
     def test_matches_face_scan_oracle(self, rng):
+        # a nonzero level-k projection passes exactly for i <= k
         outcomes = set()
-        for _ in range(40):
-            n = rng.randrange(1, 5)
-            i = rng.randrange(1, n + 1)
+        for _ in range(12):
+            n = rng.randrange(1, 7)
             lo = rng.randrange(0, n + 1)
             f = random_band_function(rng, n, lo, rng.randrange(lo, n + 1))
-            expect = all(sum(f.values[x] for x in face) == 0 for face in faces(n, i - 1))
-            assert face_sums_vanish(f, i) == expect
-            outcomes.add(expect)
+            for g in (f, zero_function(n), *(level_project(f, k) for k in range(n + 1))):
+                for i in range(1, n + 1):
+                    expect = all(sum(g.values[x] for x in face) == 0 for face in faces(n, i - 1))
+                    assert face_sums_vanish(g, i) == expect
+                    outcomes.add(expect)
         assert outcomes == {True, False}
 
 
@@ -128,14 +138,26 @@ class TestIsTrade:
             is_trade(tp, t)
 
     def test_matches_face_scan_oracle(self, rng):
+        # random pairs are almost never trades; a moved blueprint sign split is one for every t < i
+        pairs = []
         for _ in range(15):
             n = rng.randrange(2, 5)
             codes = rng.sample(range(1 << n), rng.randrange(2, (1 << n) - 1))
             cut = rng.randrange(1, len(codes))
-            t0, t1 = frozenset(codes[:cut]), frozenset(codes[cut:])
-            tp = TradePair(t0, t1, n)
-            for t in range(n + 1):
-                assert is_trade(tp, t) == naive_is_trade(t0, t1, n, t)
+            pairs.append(TradePair(frozenset(codes[:cut]), frozenset(codes[cut:]), n))
+        for n in range(1, 7):
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    pairs += [moved(sign_split(build(bp)), rng.sample(range(n), n), rng.randrange(1 << n))
+                              for bp in enumerate_blueprints(n, i, j)]
+        outcomes = set()
+        for tp in pairs:
+            for t in range(tp.n + 1):
+                expect = naive_is_trade(tp.t0, tp.t1, tp.n, t)
+                assert is_trade(tp, t) == expect
+                if t >= 1:
+                    outcomes.add(expect)
+        assert outcomes == {True, False}
 
     def test_trade_parameter_is_downward_closed(self):
         f = build(Blueprint(LOWER, (1,), (2, 2), 0, 5))
@@ -185,8 +207,7 @@ class TestAnfDegree:
         assert anf_degree(indicator) == 2
 
     def test_matches_subset_xor_oracle(self, rng):
-        for _ in range(20):
-            n = rng.randrange(1, 7)
+        for n in [*range(8)] * 3:
             vals = [rng.randrange(2) for _ in range(1 << n)]
             if not any(vals):
                 vals[0] = 1
