@@ -34,7 +34,10 @@ _RATIONAL_RE = re.compile(rf"({_INT_RE.pattern})(?:/([1-9]\d*))?", re.ASCII)
 def _check_int(what: str, value, lo: int | None = 0, hi: int | None = None) -> None:
     """The one int rule: value must be an int (not a bool) in [lo, hi]; a None bound is open."""
     if type(value) is not int or (lo is not None and value < lo) or (hi is not None and value > hi):
-        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        if hi is None:
+            bound = "" if lo is None else f" >= {lo}"
+        else:
+            bound = f" <= {hi}" if lo is None else f" in [{lo}, {hi}]"
         raise ValueError(f"{what} must be an int{bound}, got {value!r}")
 
 

@@ -12,7 +12,9 @@ as an independently testable operation.
 No face is enumerated: every face fixing the coordinates of P sums g to
 zero exactly when g's transform vanishes at every mask inside P, so the
 faces fixing m coordinates all do exactly when g has no level <= m.
-tests/test_trades.py checks both face tests against tests/oracles.py.
+Both face tests ask that of an int table through _levels_above, whose
+work follows the table's support.  tests/test_trades.py checks them
+against the face scans of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,7 +24,33 @@ from itertools import combinations
 from operator import xor
 
 from .functions import VertexFunction, _check_int, _scaled_ints, weight
-from .spectral import _levels
+
+
+def _levels_above(g: dict[int, int], t: int) -> bool:
+    """True iff every level of the int table with nonzero entries g is > t.
+
+    One butterfly stage per coordinate, from bit 0 up, on the support alone:
+    with g0, g1 the halves of g at bit 0 = 0, 1, the levels of g are those
+    of g0 + g1 and, one higher, those of g0 - g1.  Where the bit is the same
+    on the whole support, g0 - g1 = +-(g0 + g1) and only the sum is tested.
+    By induction on the same split, a nonzero table with no level <= t has
+    at least 2^(t+1) nonzero entries, so a smaller one fails at once.
+    """
+    stack = [(g, t)]
+    while stack:
+        g, t = stack.pop()
+        if t < 0 or not g:
+            continue
+        if len(g) < 2 << t:
+            return False
+        plus, minus = {}, {}
+        for x, w in g.items():
+            plus[x >> 1] = plus.get(x >> 1, 0) + w
+            minus[x >> 1] = minus.get(x >> 1, 0) + (-w if x & 1 else w)
+        stack.append(({y: w for y, w in plus.items() if w}, t))
+        if len({x & 1 for x in g}) == 2:
+            stack.append(({y: w for y, w in minus.items() if w}, t - 1))
+    return True
 
 
 def face_sums_vanish(f: VertexFunction, i: int) -> bool:
@@ -30,10 +58,12 @@ def face_sums_vanish(f: VertexFunction, i: int) -> bool:
 
     This holds for every member of the level-i eigenspace and is the
     face-level mechanism behind the trade structure of optimal functions.
-    Computed as: every level of f's table, scaled to ints, is >= i.
+    Computed as: every level of f's table, scaled to ints, is > i - 1;
+    checked against the face scan tests.oracles.faces.
     """
     _check_int("level", i, 1, f.n)
-    return all(a >= i for a in _levels(_scaled_ints(f.values)[0]))
+    ints, _ = _scaled_ints(f.values)
+    return _levels_above({x: v for x, v in enumerate(ints) if v}, i - 1)
 
 
 @dataclass(frozen=True)
@@ -58,11 +88,12 @@ def is_trade(tp: TradePair, t: int) -> bool:
     """Balance test: every (n-t)-face holds equally many of t0 and t1.
 
     Computed as: every level of the table that is +1 on t0, -1 on t1 and
-    0 elsewhere is > t.  Never true at t = n, where faces are vertices.
+    0 elsewhere is > t, at a cost that follows |t0| + |t1|, not 2^n.
+    Never true at t = n, where faces are vertices.  Checked against the
+    face scan tests.oracles.naive_is_trade.
     """
     _check_int("trade parameter", t, 0, tp.n)
-    table = [(x in tp.t0) - (x in tp.t1) for x in range(1 << tp.n)]
-    return all(a > t for a in _levels(table))
+    return _levels_above({**dict.fromkeys(tp.t0, 1), **dict.fromkeys(tp.t1, -1)}, t)
 
 
 def sign_split(f: VertexFunction) -> TradePair:

@@ -85,6 +85,13 @@ def test_trade_pipeline_commands(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == {"is_trade": True, "t": 1}
 
+    # two vertices of H(40): the answer comes from the pair, not from a 2^40 table
+    wide = json.dumps({"n": 40, "t0": ["1" + "0" * 39], "t1": ["0" * 39 + "1"]})
+    for t, answer in (("0", True), ("1", False), ("40", False)):
+        code, out, _ = run(capsys, "verify-trade", "--t", t, "--inline", wide)
+        assert code == 0
+        assert json.loads(out) == {"is_trade": answer, "t": int(t)}
+
     f = tensor(phi(2), phi(2))
     vertices = {"n": 4, "vertices": ["0000", "1100", "0011", "1111"]}
     path = tmp_path / "set.json"

@@ -1,9 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import cubespec
+from cubespec.functions import _check_int
 
 PACKAGE = Path(cubespec.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -72,3 +74,13 @@ def fine(v: int, kind=int) -> bool:
         ("restrict", 3), ("Pair.__post_init__", 8), ("Pair.__post_init__", 10),
         ("Pair.__post_init__", 10), ("", 12),
     ]
+
+
+@pytest.mark.parametrize("lo, hi, bound", [
+    (0, None, " >= 0"), (1, 3, " in [1, 3]"), (None, 3, " <= 3"), (None, None, ""),
+])
+def test_the_message_names_the_bound_it_applies(lo, hi, bound):
+    for value in ["2", 4 if hi is not None else -1 if lo is not None else True]:
+        with pytest.raises(ValueError, match=f"^x must be an int{re.escape(bound)}, got {re.escape(repr(value))}$"):
+            _check_int("x", value, lo, hi)
+    _check_int("x", 2, lo, hi)

@@ -22,6 +22,7 @@ from cubespec import (
     point_mass,
     psi,
     sign_split,
+    single_level_blueprint,
     split_subspace,
     support,
     tensor,
@@ -158,6 +159,22 @@ class TestIsTrade:
                 if t >= 1:
                     outcomes.add(expect)
         assert outcomes == {True, False}
+
+    def test_sparse_pair_in_high_dimension(self):
+        # the work follows the pair's support; a table over all 2^40 vertices would not fit
+        tp = TradePair(frozenset({1}), frozenset({1 << 39}), 40)
+        assert [is_trade(tp, t) for t in range(41)] == [True] + [False] * 40
+
+    def test_trade_spread_over_high_dimension(self, rng):
+        # a [2]-trade of H(6) moved onto six coordinates of H(40) stays a [2]-trade and no more
+        tp = sign_split(build(single_level_blueprint(6, 3)))
+        cols = rng.sample(range(40), 6)
+
+        def spread(codes):
+            return frozenset(sum(1 << c for b, c in enumerate(cols) if x >> b & 1) for x in codes)
+
+        wide = TradePair(spread(tp.t0), spread(tp.t1), 40)
+        assert [is_trade(wide, t) for t in range(41)] == [True] * 3 + [False] * 38
 
     def test_trade_parameter_is_downward_closed(self):
         f = build(Blueprint(LOWER, (1,), (2, 2), 0, 5))
