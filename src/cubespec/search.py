@@ -20,6 +20,7 @@ matrix, so Hadamard's bound k^(k/2) on a minor of size k fixes a lane
 width that no entry outgrows; the division is exact lane by lane, and
 since a packed column is linear in its lanes, it is exact on the whole int
 even where the product overflowed a lane.  A zero test is `not column`.
+The scan counts, not visits, children whose subtrees hold no dependence.
 Kernel vectors, their combinations and their level tests stay Python
 ints; Fractions are built only for the VertexFunctions handed back.
 Canonical forms compare integer tables too, and sweep one coordinate
@@ -92,6 +93,12 @@ def _packed_columns(rows, verts, width):
             for x in verts]
 
 
+def _lead(q, width, bias):
+    """The value in the lowest nonzero lane of packed column q, and that lane's shift."""
+    shift = ((q & -q).bit_length() - 1) // width * width
+    return ((q + bias) >> shift & (1 << width) - 1) - (1 << width - 1), shift
+
+
 def _bareiss_step(cols, r, d, width, bias):
     """One fraction-free elimination step of packed columns against column r.
 
@@ -106,43 +113,58 @@ def _bareiss_step(cols, r, d, width, bias):
     rescaled, to q * bp / d, so that every column stays at the same step.
     Returns (bp, the reduced columns).
     """
-    low = (r & -r).bit_length() - 1
-    shift = low - low % width
-    mask = (1 << width) - 1
-    half = 1 << width - 1
-    bp = ((r + bias) >> shift & mask) - half
+    bp, shift = _lead(r, width, bias)
+    mask, half = (1 << width) - 1, 1 << width - 1
     return bp, [q and (q * bp - r * (((q + bias) >> shift & mask) - half)) // d for q in cols]
+
+
+def _lone(cols, width, bias):
+    """The k with no column after cols[k] that is 0 or a multiple of it.
+
+    Column q with lead v is keyed by q / v in lowest terms; keys agree just
+    when q * v' == q' * v, that is when a _bareiss_step of q' against q gives 0.
+    """
+    leads = [q and _lead(q, width, bias)[0] for q in cols]
+    gcds = [math.gcd(q, v) if v > 0 else -math.gcd(q, v) for q, v in zip(cols, leads)]
+    last = {q and (q // g, v // g): k for k, (q, v, g) in enumerate(zip(cols, leads, gcds))}
+    return {k for k in last.values() if k > last.get(0, -1)}
+
+
+def _independent_from(cols, d, width, bias):
+    """The least free with cols[free:] independent: Bareiss steps from the back of cols."""
+    while cols and cols[-1]:
+        d, cols = _bareiss_step(cols[:-1], cols[-1], d, width, bias)
+    return len(cols)
 
 
 def _dfs(n, rows, cap, on_dependent):
     """Depth-first scan of the supports through vertex 0 of size at most cap.
 
-    The root {0} counts as one node.  Its all-ones column is dependent only
-    when there are no rows; then the point mass at 0 goes straight to
-    on_dependent and nothing else is scanned.  Otherwise supports extend
-    by larger vertex codes, and each extension counts as one node.  A
+    The root {0} is one node; with no rows its column is 0, so the point
+    mass at 0 goes straight to on_dependent and nothing else is scanned.
+    Otherwise supports extend by larger vertex codes, one node each, and a
     dependent one is handed to on_dependent(support, bound), which returns
     the new size bound.  The scan descends only through supports still
     below the bound, dependent ones included.  Every node carries the
     packed columns of its later candidates reduced against its support
-    (0 once dependent), so a child costs one _bareiss_step, and a node at
-    the bound whose candidates are all independent just counts them.  The
-    lanes hold minors of size at most min(len(rows), cap).  Returns
-    (nodes, bound).
+    (0 once dependent), so a child costs one _bareiss_step.  A child with
+    no dependent support below it is counted with its subtree, the sets of
+    later candidates under the bound: two or more below the bound, children
+    in the independent suffix (_independent_from, up to len(rows) pivots
+    whatever cap is, so lanes hold minors that large); one below, children
+    no later candidate depends on (_lone).  Returns (nodes, bound).
     """
     if not rows:
         return 1, on_dependent((0,), cap)
-    width, bias = _lanes(min(len(rows), cap), len(rows))
-    nodes = 1
-    bound = cap
+    width, bias = _lanes(len(rows), len(rows))
+    nodes, bound = 1, cap
 
     def visit(supp, verts, cols, d):
         nonlocal nodes, bound
         child = len(supp) + 1
-        if child == bound and 0 not in cols:
-            nodes += len(cols)
-            return
-        for k, r in enumerate(cols):
+        free = _independent_from(cols, d, width, bias) if child + 1 < bound else len(cols)
+        lone = _lone(cols, width, bias) if child + 1 == bound else ()
+        for k, r in enumerate(cols[:free]):
             if child > bound:
                 return
             nodes += 1
@@ -151,9 +173,12 @@ def _dfs(n, rows, cap, on_dependent):
                 bound = on_dependent(ns, bound)
                 if child < bound:
                     visit(ns, verts[k + 1:], cols[k + 1:], d)
+            elif child < bound and k in lone:
+                nodes += len(cols) - k - 1
             elif child < bound:
                 bp, rest = _bareiss_step(cols[k + 1:], r, d, width, bias)
                 visit(ns, verts[k + 1:], rest, bp)
+        nodes += sum(math.comb(len(cols) - free, t) for t in range(1, bound - len(supp) + 1))
 
     root, *cols = _packed_columns(rows, range(1 << n), width)
     bp, cols = _bareiss_step(cols, root, 1, width, bias)

@@ -71,6 +71,25 @@ class TestMinSupport:
     def test_limit_error_names_the_keyword(self):
         with pytest.raises(ValueError, match=r"needs unsafe=True"):
             min_support(6, 2, 3)
+
+    # Counts that hold however the scan runs.  [0, 0] and [n, n] have no
+    # dependent support below the whole cube, so every support through 0 is
+    # examined: 2^(2^n - 1) nodes.  [0, 1] and [n - 1, n] have bound
+    # 2^(n-1), met first by the hyperplane x_n = 0 at the end of the
+    # leftmost path; after it every support through 0 of size at most
+    # 2^(n-1) is examined, half of all subsets of the other 2^n - 1
+    # vertices: 2^(2^n - 2) nodes.
+    @pytest.mark.parametrize("n,i,j,nodes", [
+        *((n, i, i, 2 ** (2**n - 1)) for n in range(1, 6) for i in (0, n)),
+        *((n, i, i + 1, 2 ** (2**n - 2)) for n in range(2, 5) for i in (0, n - 1)),
+        *(pytest.param(5, i, i + 1, 2**30, marks=pytest.mark.skipif(
+            not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the 2^30-node n=5 scans"))
+          for i in (0, 4)),
+    ])
+    def test_nodes_examined_where_the_count_is_known(self, n, i, j, nodes):
+        report = min_support(n, i, j)
+        assert report.nodes_examined == nodes
+        assert report.min_support == max(1 << i, 1 << n - j)
         with pytest.raises(ValueError, match=r"needs unsafe=True"):
             min_support_exact_spectrum(6, {0, 3})
 
@@ -179,6 +198,77 @@ class TestDfs:
             assert sorted(seen) == sorted(s for s in supports if rank(s) == rank(s[:-1])), rows
             turned_none += sum(len(s) > 2 and rank((0, s[-1])) == 2 for s in seen)
         assert turned_none
+
+    @staticmethod
+    def walk(n, rows, cap, on_dependent, rank):
+        """The scan by its definition: every node visited, dependence by rank."""
+        nodes, bound = 1, cap
+
+        def visit(supp):
+            nonlocal nodes, bound
+            child = len(supp) + 1
+            for x in range(supp[-1] + 1, 1 << n):
+                if child > bound:
+                    return
+                nodes += 1
+                if rank(supp + (x,)) == rank(supp):
+                    bound = on_dependent(supp + (x,), bound)
+                if child < bound:
+                    visit(supp + (x,))
+
+        visit((0,))
+        return nodes, bound
+
+    # Three hooks: one keeps the bound, one lowers it to the support's size
+    # as _scan_supports records, and one mostly keeps it but now and then
+    # lowers it to at most the support's size, as the exact-spectrum hook
+    # does when it descends through dependent supports.
+    HOOKS = {
+        "keep": lambda supp, bound: bound,
+        "record": lambda supp, bound: len(supp),
+        "descend": lambda supp, bound: min(bound, len(supp) - supp[-1] % 2) if sum(supp) % 5 == 0
+        else bound,
+    }
+
+    def test_counted_scan_matches_a_plain_walk(self, rng, monkeypatch):
+        # Capped cases with more rows than the cap: the independent suffix
+        # then takes more pivots than any support under the cap has.
+        cases = [(4, [u for u in range(16) if u.bit_count() != 2], 4),
+                 (5, [u for u in range(32) if u.bit_count() != 1], 3),
+                 (5, rng.sample(range(32), 6), 4)]
+        cases += [(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)), rng.randint(2, 1 << n))
+                  for n in (1, 2, 3) for _ in range(12)]
+        cases += [(4, rng.sample(range(16), rng.randint(cap + 1, 16)), cap) for cap in (4, 5)]
+        shortcuts = Counter()  # children the scan counts without visiting them
+        free, lone = search._independent_from, search._lone
+
+        def suffix(cols, *args):
+            k = free(cols, *args)
+            shortcuts["suffix"] += len(cols) - k
+            return k
+
+        def lone_children(*args):
+            ks = lone(*args)
+            shortcuts["lone"] += len(ks)
+            return ks
+
+        monkeypatch.setattr(search, "_independent_from", suffix)
+        monkeypatch.setattr(search, "_lone", lone_children)
+        for n, rows, cap in cases:
+            @cache
+            def rank(supp):
+                return fraction_rank([[sign(u, x) for x in supp] for u in rows])
+
+            for name, hook in self.HOOKS.items():
+                got, want = [], []
+
+                def seen(log):
+                    return lambda supp, bound: log.append((supp, bound)) or hook(supp, bound)
+
+                assert search._dfs(n, rows, cap, seen(got)) == self.walk(
+                    n, rows, cap, seen(want), rank), (n, rows, cap, name)
+                assert got == want, (n, rows, cap, name)
+        assert shortcuts["suffix"] and shortcuts["lone"]
 
     @pytest.mark.parametrize("n,cap", [(0, 1), (3, 8), (3, 0)])
     def test_no_rows_hands_the_point_mass_to_the_hook(self, n, cap):
@@ -484,6 +574,14 @@ class TestVerifyClassification:
         report = verify_classification(4, 1, 3)
         assert report.ok
         assert not any("kernel dimension" in note for note in report.notes)
+
+    @pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-16 and -32 bands")
+    @pytest.mark.parametrize("i,j", [(0, 0), (5, 5), (1, 1), (4, 4), (0, 1), (4, 5)])
+    def test_n5_bands_with_bound_16_or_32(self, i, j):
+        report = verify_classification(5, i, j)
+        assert report.ok, report.notes
+        assert report.min_support == max(1 << i, 1 << 5 - j)
+        assert len(report.classes_found) == len(enumerate_blueprints(5, i, j))
 
     def test_limit_error_names_the_keyword(self):
         with pytest.raises(ValueError, match=r"beyond n=5 needs extended=True"):
