@@ -226,8 +226,8 @@ class TestDfs:
     HOOKS = {
         "keep": lambda supp, bound: bound,
         "record": lambda supp, bound: len(supp),
-        "descend": lambda supp, bound: min(bound, len(supp) - supp[-1] % 2) if sum(supp) % 5 == 0
-        else bound,
+        "descend": lambda supp, bound: (
+            min(bound, len(supp) - supp[-1] % 2) if sum(supp) % 5 == 0 else bound),
     }
 
     def test_counted_scan_matches_a_plain_walk(self, rng, monkeypatch):
