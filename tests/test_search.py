@@ -71,6 +71,8 @@ class TestMinSupport:
     def test_limit_error_names_the_keyword(self):
         with pytest.raises(ValueError, match=r"needs unsafe=True"):
             min_support(6, 2, 3)
+        with pytest.raises(ValueError, match=r"needs unsafe=True"):
+            min_support_exact_spectrum(6, {0, 3})
 
     # Counts that hold however the scan runs.  [0, 0] and [n, n] have no
     # dependent support below the whole cube, so every support through 0 is
@@ -90,8 +92,6 @@ class TestMinSupport:
         report = min_support(n, i, j)
         assert report.nodes_examined == nodes
         assert report.min_support == max(1 << i, 1 << n - j)
-        with pytest.raises(ValueError, match=r"needs unsafe=True"):
-            min_support_exact_spectrum(6, {0, 3})
 
 
 # Every band with n <= 4, and the nine n = 5 bands with bound <= 4.
