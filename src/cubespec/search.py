@@ -265,7 +265,7 @@ def _normalize_witness(ints) -> list[int]:
     return [x // g for x in ints]
 
 
-def _witness(n, rows, supp, notes) -> list[int]:
+def _witness(rows, supp, notes) -> list[int]:
     """The normalized first kernel vector of supp; notes a kernel dimension other than 1."""
     kernel = _kernel_basis(rows, supp)
     if len(kernel) != 1:
@@ -383,21 +383,15 @@ def canonical_form(f: VertexFunction) -> VertexFunction:
 
 
 def equivalent(f: VertexFunction, g: VertexFunction) -> bool:
-    """Whether g equals c * (f o pi) for some automorphism pi and scale c."""
+    """Whether g equals c * (f o pi) for some automorphism pi and scale c.
+
+    Decided by canonical forms alone, so only for nonzero f, g and n <= 8.
+    """
     f._check_same_cube(g)
-    sf = next((x for x, v in enumerate(f.values) if v != 0), None)
-    sg = next((x for x, v in enumerate(g.values) if v != 0), None)
-    if sf is None or sg is None:
-        raise ValueError("equivalence is defined for nonzero functions")
-    if sf == sg:
-        # fast path: exact scalar multiple (identity automorphism)
-        c = g.values[sf] / f.values[sf]
-        if all(b == c * a for a, b in zip(f.values, g.values)):
-            return True
     return canonical_form(f).values == canonical_form(g).values
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchReport:
     """Everything a search run learned; serialized by cubespec.serialize."""
 
@@ -428,7 +422,7 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport
     rows = _rows(n, range(i, j + 1))
     size, supports, nodes = _scan_supports(n, rows)
     notes = []
-    witness = _function(n, supports[0], _witness(n, rows, supports[0], notes))
+    witness = _function(n, supports[0], _witness(rows, supports[0], notes))
     return SearchReport(
         n=n, i=i, j=j, min_support=size, witness=witness, notes=tuple(notes),
         elapsed=time.perf_counter() - start, nodes_examined=nodes,
@@ -527,7 +521,7 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     notes = []
     if size != expected:
         notes.append(f"minimum support {size} differs from the sharp bound {expected}")
-    witnesses = [_witness(n, rows, supp, notes) for supp in supports]
+    witnesses = [_witness(rows, supp, notes) for supp in supports]
     # a class holds primitive vectors of one multiset of |v|, so one table
     tables = {tuple(_canonical(n, supp, w)) for supp, w in zip(supports, witnesses)}
     classes = tuple(sorted((_unit_lead(n, t) for t in tables), key=lambda c: c.values))

@@ -10,7 +10,6 @@ All emitters sort object keys so output is byte-stable.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .constructions import Blueprint
 from .functions import VertexFunction, _check_int, fraction_from_str
@@ -19,12 +18,8 @@ from .spectral import SpectrumSet
 from .trades import AffineSubspace, TradePair
 
 
-def fraction_to_str(value: Fraction) -> str:
-    return str(value)
-
-
 def function_to_dict(f: VertexFunction) -> dict:
-    return {"n": f.n, "values": [fraction_to_str(v) for v in f.values]}
+    return {"n": f.n, "values": [str(v) for v in f.values]}
 
 
 def fields(payload, **types) -> list:
@@ -82,11 +77,6 @@ def blueprint_to_dict(bp: Blueprint) -> dict:
         "even": list(bp.even_parts),
         "r": bp.remainder,
     }
-
-
-def blueprint_from_dict(payload: dict, n: int) -> Blueprint:
-    case, odd, even, r = fields(payload, case=str, odd=list, even=list, r=int)
-    return Blueprint(case, tuple(odd), tuple(even), r, n)
 
 
 def trade_pair_to_dict(tp: TradePair) -> dict:

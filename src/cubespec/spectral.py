@@ -53,12 +53,6 @@ class SpectrumSet:
     def sorted_levels(self) -> tuple[int, ...]:
         return tuple(sorted(self.levels))
 
-    def __contains__(self, level: int) -> bool:
-        return level in self.levels
-
-    def __iter__(self):
-        return iter(self.sorted_levels)
-
 
 def character(n: int, u: int) -> VertexFunction:
     """The character chi_u(x) = (-1)^(u.x), a +-1 valued function on H(n)."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubespec import phi, search, serialize, tensor
+from cubespec import phi, point_mass, search, serialize, tensor
 from cubespec.cli import COMMANDS, main
 
 
@@ -219,6 +219,30 @@ def test_canonical_and_equivalent(tmp_path, capsys):
     cf_a = json.loads(out)
     code, out, _ = run(capsys, "canonical", "--input", b)
     assert cf_a == json.loads(out)
+
+
+def test_equivalent_command_refuses_n_above_the_canonical_limit(tmp_path, capsys):
+    a = write_function(tmp_path, "a.json", point_mass(9))
+    b = write_function(tmp_path, "b.json", point_mass(9).scale(2))
+    code, out, err = run(capsys, "equivalent", a, b)
+    assert_contract_error(code, out, err)
+    assert json.loads(err)["error"] == "canonical_form sweeps the full group only for n <= 8"
+
+
+@pytest.mark.parametrize("argv", [
+    ("min-support", "--n", "3", "--i", "1", "--j", "2"),
+    ("min-support", "--n", "3", "--exact-spectrum", "0,3"),
+    ("verify-classification", "--n", "3", "--i", "0", "--j", "2"),
+])
+def test_timing_flag_only_fills_elapsed(capsys, argv):
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    code, timed, err = run(capsys, *argv, "--timing")
+    assert code == 0 and err == ""
+    report = json.loads(timed)
+    assert type(report["elapsed"]) in (int, float) and report["elapsed"] >= 0
+    report["elapsed"] = None
+    assert serialize.dumps(report) == plain
 
 
 def test_verify_classification_command(capsys):

@@ -478,7 +478,7 @@ class TestCanonicalForm:
         size, supports, _ = search._scan_supports(n, rows)
         assert size == max(1 << i, 1 << (n - j)) and len(supports) == witnesses
         notes = []
-        forms = {canonical_form(search._function(n, supp, search._witness(n, rows, supp, notes))).values
+        forms = {canonical_form(search._function(n, supp, search._witness(rows, supp, notes))).values
                  for supp in supports}
         assert notes == []
         blueprint_forms = [canonical_form(build(bp)).values for bp in enumerate_blueprints(n, i, j)]
@@ -549,6 +549,16 @@ class TestEquivalent:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             equivalent(phi(2), phi(3))
+
+    def test_plain_multiples_share_the_canonical_domain(self):
+        # equivalent is decided by canonical forms alone, so a plain multiple raises too
+        f = point_mass(9)
+        with pytest.raises(ValueError, match=r"^canonical_form sweeps the full group only for n <= 8$"):
+            equivalent(f, f.scale(2))
+
+    def test_zero_function_is_rejected_by_canonical_form(self):
+        with pytest.raises(ValueError, match=r"^canonical_form needs a nonzero function$"):
+            equivalent(phi(2), make_function(2, [0, 0, 0, 0]))
 
 
 class TestVerifyClassification:

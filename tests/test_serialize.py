@@ -19,7 +19,7 @@ from cubespec import serialize
 class TestFractions:
     def test_round_trip(self):
         for text in ("0", "-7", "3/4", "-22/7"):
-            assert serialize.fraction_to_str(serialize.fraction_from_str(text)) == text
+            assert str(serialize.fraction_from_str(text)) == text
 
     def test_strict_parsing(self):
         for bad in ("1.5", "1/0", "a", "1/-2", "", "07/", "1\n", "3/4\n", "+1", " 1", "1/ 2",
@@ -102,7 +102,6 @@ def test_blueprint_round_trip():
     bp = Blueprint(LOWER, (1,), (2,), 1, 4)
     payload = serialize.blueprint_to_dict(bp)
     assert payload == {"case": "LOWER", "odd": [1], "even": [2], "r": 1}
-    assert serialize.blueprint_from_dict(payload, 4) == bp
 
 
 @pytest.mark.parametrize("payload", [
@@ -113,8 +112,10 @@ def test_blueprint_round_trip():
     {"case": "LOWER", "odd": ["1"], "even": [2], "r": 1},
 ])
 def test_blueprint_validation(payload):
+    # No command decodes a blueprint; a decoder would meet these two checks.
     with pytest.raises(ValueError):
-        serialize.blueprint_from_dict(payload, 4)
+        case, odd, even, r = serialize.fields(payload, case=str, odd=list, even=list, r=int)
+        Blueprint(case, tuple(odd), tuple(even), r, 4)
 
 
 def test_search_report_timing_is_opt_in():
