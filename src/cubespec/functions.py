@@ -94,9 +94,6 @@ class VertexFunction:
         self._check_same_cube(other)
         return VertexFunction(self.n, tuple(a - b for a, b in zip(self.values, other.values)))
 
-    def __neg__(self) -> "VertexFunction":
-        return VertexFunction(self.n, tuple(-a for a in self.values))
-
     def scale(self, c) -> "VertexFunction":
         c = as_fraction(c)
         return VertexFunction(self.n, tuple(c * a for a in self.values))
@@ -119,8 +116,7 @@ def make_function(n: int, values) -> VertexFunction:
 
 
 def zero_function(n: int) -> VertexFunction:
-    _check_int("dimension", n, 0, MAX_DIMENSION)
-    return VertexFunction(n, (Fraction(0),) * (1 << n))
+    return constant_function(n, 0)
 
 
 def constant_function(n: int, c) -> VertexFunction:

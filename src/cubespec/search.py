@@ -42,7 +42,7 @@ from fractions import Fraction
 from operator import lshift
 
 from .constructions import Blueprint, build, enumerate_blueprints
-from .functions import VertexFunction, _check_int, _scaled_ints
+from .functions import MAX_DIMENSION, VertexFunction, _check_int, _scaled_ints
 from .spectral import SpectrumSet, _check_band, _levels
 
 EXHAUSTIVE_LIMIT = 5
@@ -62,9 +62,12 @@ class LimitError(ValueError):
         super().__init__(self.template.format(f"{keyword}=True"))
 
 
-def _check_exhaustive(n: int, lifted: bool, keyword: str) -> None:
+def _check_exhaustive(n: int, lifted: bool, keyword: str, top: int = MAX_DIMENSION) -> None:
+    """n <= EXHAUSTIVE_LIMIT unless lifted, and always n <= top: MAX_DIMENSION
+    for a dense witness table, CANONICAL_LIMIT for canonicalised witnesses."""
     if n > EXHAUSTIVE_LIMIT and not lifted:
         raise LimitError(keyword)
+    _check_int("n", n, 0, top)
 
 
 def _rows(n: int, levels) -> list[int]:
@@ -190,14 +193,18 @@ def _colex_key(supp):
     return tuple(sorted(supp, reverse=True))
 
 
-def _scan_supports(n, rows):
-    """Smallest dependent supports through vertex 0.
+def _scan_supports(n, i, j, lifted, keyword, top=MAX_DIMENSION):
+    """Smallest dependent supports through vertex 0 for band [i, j].
 
-    Returns (min_size, supports at min_size in colexicographic order,
+    The band check and the gate (_check_exhaustive) come before any work.
+    Returns (rows, min_size, supports at min_size in colexicographic order,
     nodes_examined).  A dependent support is recorded and never extended,
     since recording lowers the bound to its size; sizes only fall, so
     found holds the supports at the current bound.
     """
+    _check_band(n, i, j)
+    _check_exhaustive(n, lifted, keyword, top)
+    rows = _rows(n, range(i, j + 1))
     found: list[tuple[int, ...]] = []
 
     def record(supp, bound):
@@ -207,7 +214,7 @@ def _scan_supports(n, rows):
         return len(supp)
 
     nodes, size = _dfs(n, rows, 1 << n, record)
-    return size, sorted(found, key=_colex_key), nodes
+    return rows, size, sorted(found, key=_colex_key), nodes
 
 
 def _kernel_basis(rows, supp):
@@ -414,13 +421,10 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport
 
     Candidate supports grow by size; the reported witness comes from the
     colexicographically first minimal support.  Refuses n beyond the
-    exhaustive limit unless unsafe is set.
+    exhaustive limit unless unsafe is set, and beyond MAX_DIMENSION always.
     """
-    _check_band(n, i, j)
-    _check_exhaustive(n, unsafe, "unsafe")
     start = time.perf_counter()
-    rows = _rows(n, range(i, j + 1))
-    size, supports, nodes = _scan_supports(n, rows)
+    rows, size, supports, nodes = _scan_supports(n, i, j, unsafe, "unsafe")
     notes = []
     witness = _function(n, supports[0], _witness(rows, supports[0], notes))
     return SearchReport(
@@ -435,7 +439,8 @@ def _exact_combination(n, supp, kernel, target):
     Any kernel member's spectrum is contained in target by construction,
     so exactness is achievable iff every target level is hit by some basis
     vector, and then a generic small-integer combination works: each level
-    rules out at most dim-1 multiplier values.
+    rules out at most dim-1 multiplier values.  With one basis vector the
+    first try, t = 1, is that vector.
     """
     reach = frozenset()
     for vec in kernel:
@@ -444,8 +449,6 @@ def _exact_combination(n, supp, kernel, target):
             break
     if reach != target:
         return None
-    if len(kernel) == 1:
-        return kernel[0]
     for t in range(1, len(target) * len(kernel) + 2):
         combo = [sum(t**m * vec[c] for m, vec in enumerate(kernel)) for c in range(len(supp))]
         if _levels(_table(n, supp, combo)) == target:
@@ -510,13 +513,11 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     than 1), dedupes witnesses by canonical form, and matches the class set
     against the enumerated blueprints.  ok is True only when the minimum
     equals the sharp bound and the match is a bijection with no extras and
-    no misses.
+    no misses.  Refuses n beyond the exhaustive limit unless extended is
+    set, and beyond CANONICAL_LIMIT always.
     """
-    _check_band(n, i, j)
-    _check_exhaustive(n, extended, "extended")
     start = time.perf_counter()
-    rows = _rows(n, range(i, j + 1))
-    size, supports, nodes = _scan_supports(n, rows)
+    rows, size, supports, nodes = _scan_supports(n, i, j, extended, "extended", CANONICAL_LIMIT)
     expected = max(1 << i, 1 << (n - j))
     notes = []
     if size != expected:

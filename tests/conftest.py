@@ -29,6 +29,17 @@ def rng(seed):
     return random.Random(seed)
 
 
+@pytest.fixture
+def no_scan(monkeypatch):
+    """Make building the constraint rows fail, so a search that passes its gate fails the test."""
+    from cubespec import search
+
+    def rows(n, levels):
+        raise AssertionError(f"the gate let a scan at n={n} start")
+
+    monkeypatch.setattr(search, "_rows", rows)
+
+
 def random_function(rng, n, lo=-5, hi=5):
     """Random integer-valued function, guaranteed nonzero."""
     vals = [rng.randrange(lo, hi + 1) for _ in range(1 << n)]

@@ -1,3 +1,4 @@
+import io
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -38,6 +39,28 @@ def test_spectrum_inline_input(capsys):
     code, out, _ = run(capsys, "spectrum", "--inline", payload)
     assert code == 0
     assert json.loads(out) == {"levels": [1]}
+
+
+def test_input_defaults_to_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize.dumps(serialize.function_to_dict(phi(3)))))
+    code, out, err = run(capsys, "spectrum")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"levels": [1, 3]}
+
+
+def test_output_path_gets_what_stdout_would(tmp_path, capsys):
+    argv = ("min-support", "--n", "3", "--i", "1", "--j", "2")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "report.json"
+    assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_missing_input_file_is_an_io_error(tmp_path, capsys):
+    code, out, err = run(capsys, "spectrum", "--input", str(tmp_path / "absent.json"))
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "io"
 
 
 def test_enumerate_and_build_optimal(tmp_path, capsys):
@@ -102,6 +125,11 @@ def test_trade_pipeline_commands(tmp_path, capsys):
     assert sub["affine"] is True and sub["dimension"] == 2
     assert sub["disjoint_support_basis"] is True
 
+    code, out, _ = run(capsys, "detect-affine", "--inline",
+                       json.dumps({"n": 4, "vertices": ["0000", "1100", "0011"]}))
+    assert code == 0
+    assert json.loads(out) == {"affine": False}
+
     path = tmp_path / "sub.json"
     path.write_text(json.dumps(sub))
     code, out, _ = run(capsys, "split-subspace", "--input", str(path))
@@ -163,6 +191,13 @@ def test_limit_errors_name_the_flag(capsys, argv, flag):
     assert_contract_error(code, out, err)
     message = json.loads(err)["error"]
     assert flag in message and "=True" not in message
+
+
+def test_verify_classification_refuses_n_above_the_canonical_limit(capsys, no_scan):
+    code, out, err = run(capsys, "verify-classification", "--n", "9", "--i", "2", "--j", "9",
+                         "--unsafe-n")
+    assert_contract_error(code, out, err)
+    assert json.loads(err)["error"] == "n must be an int in [0, 8], got 9"
 
 
 PHI2 = '{"n": 2, "values": ["1", "0", "0", "-1"]}'

@@ -247,6 +247,21 @@ class TestProgression:
         with pytest.raises(ValueError):
             is_progression_spectrum(SpectrumSet(3, frozenset()), 0, 3, LOWER)
 
+    def test_rejects_an_unknown_band_side(self):
+        from cubespec import SpectrumSet
+
+        with pytest.raises(ValueError, match=re.escape("band_side must be LOWER or UPPER, got 'MIDDLE'")):
+            is_progression_spectrum(SpectrumSet(3, frozenset({1})), 1, 2, "MIDDLE")
+
+    def test_anchor_level_must_be_the_band_end(self):
+        from cubespec import SpectrumSet
+
+        # progressions of difference 1 inside the band, anchored one level off
+        assert not is_progression_spectrum(SpectrumSet(5, frozenset({2, 3})), 1, 4, LOWER)
+        assert not is_progression_spectrum(SpectrumSet(5, frozenset({2, 3})), 1, 4, UPPER)
+        assert is_progression_spectrum(SpectrumSet(5, frozenset({1, 2})), 1, 4, LOWER)
+        assert is_progression_spectrum(SpectrumSet(5, frozenset({3, 4})), 1, 4, UPPER)
+
 
 def test_twist_carries_flat_blocks_to_sign_blocks():
     for n in range(1, 7):

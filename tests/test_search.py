@@ -74,6 +74,17 @@ class TestMinSupport:
         with pytest.raises(ValueError, match=r"needs unsafe=True"):
             min_support_exact_spectrum(6, {0, 3})
 
+    # The lift reaches only as far as a dense witness table: n <= 24 is
+    # decided before any constraint row is built.
+    @pytest.mark.parametrize("search_call", [
+        lambda: min_support(25, 0, 25, unsafe=True),
+        lambda: min_support(40, 0, 40, unsafe=True),
+        lambda: min_support_exact_spectrum(25, [0], unsafe=True),
+    ], ids=["band-n25", "band-n40", "exact-n25"])
+    def test_lifted_gate_refuses_n_above_the_table_cap(self, no_scan, search_call):
+        with pytest.raises(ValueError, match=re.escape("n must be an int in [0, 24], got")):
+            search_call()
+
     # Counts that hold however the scan runs.  [0, 0] and [n, n] have no
     # dependent support below the whole cube, so every support through 0 is
     # examined: 2^(2^n - 1) nodes.  [0, 1] and [n - 1, n] have bound
@@ -105,8 +116,9 @@ class TestParityDuality:
     # and the twist must carry one witness to the other.
     @pytest.mark.parametrize("n,i,j", DUALITY_BANDS)
     def test_dual_bands_scan_alike(self, n, i, j):
-        scan = search._scan_supports(n, search._rows(n, range(i, j + 1)))
-        assert search._scan_supports(n, search._rows(n, range(n - j, n - i + 1))) == scan
+        _, *scan = search._scan_supports(n, i, j, False, "unsafe")
+        _, *dual_scan = search._scan_supports(n, n - j, n - i, False, "unsafe")
+        assert dual_scan == scan
         dual = min_support(n, n - j, n - i).witness
         assert dual.values == parity_twist(min_support(n, i, j).witness).values
 
@@ -474,8 +486,7 @@ class TestCanonicalForm:
             not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=7 classes")),
     ])
     def test_witnesses_above_n5_give_the_blueprint_forms(self, n, i, j, witnesses, classes):
-        rows = search._rows(n, range(i, j + 1))
-        size, supports, _ = search._scan_supports(n, rows)
+        rows, size, supports, _ = search._scan_supports(n, i, j, True, "extended")
         assert size == max(1 << i, 1 << (n - j)) and len(supports) == witnesses
         notes = []
         forms = {canonical_form(search._function(n, supp, search._witness(rows, supp, notes))).values
@@ -596,6 +607,13 @@ class TestVerifyClassification:
     def test_limit_error_names_the_keyword(self):
         with pytest.raises(ValueError, match=r"beyond n=5 needs extended=True"):
             verify_classification(6, 2, 4)
+
+    # Canonical forms pack one byte per support vertex, so the lift stops
+    # at n = 8, before any constraint row is built.
+    @pytest.mark.parametrize("n", [9, 25])
+    def test_lifted_gate_refuses_n_above_the_canonical_limit(self, no_scan, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an int in [0, 8], got {n}")):
+            verify_classification(n, 2, n, extended=True)
 
     def test_extended_flag_gates_n5(self):
         """extended lifts the exhaustive gate at n = 6, as unsafe does for min_support."""
