@@ -5,7 +5,9 @@ Vertices of H(n) are the elements of Z_2^n, encoded as integer bitmasks in
 stores one Fraction per vertex (ints are converted, floats and other types
 rejected), so every transform and every zero test in this package is exact.
 Dense-table arithmetic scales a table once by the lcm of its denominators and
-runs on Python ints, building Fractions only for the result.
+runs on Python ints; the result gets one Fraction per distinct value, shared
+by every vertex that holds it (_fractions).  Zero and sign tests read
+truthiness and numerators, never Fraction comparisons.
 
 The Walsh-Hadamard transform is stored unnormalized:
 
@@ -24,6 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import add, mul, sub
 
 MAX_DIMENSION = 24
@@ -80,11 +83,11 @@ class VertexFunction:
             raise ValueError(
                 f"value table has length {len(self.values)}, expected {1 << self.n} for n={self.n}"
             )
-        if not all(type(v) is Fraction for v in self.values):
+        if {*map(type, self.values)} != {Fraction}:
             for k, v in enumerate(self.values):
                 if type(v) is not int and not isinstance(v, Fraction):
                     raise ValueError(f"value at index {k} is {type(v).__name__}, expected int or Fraction")
-            object.__setattr__(self, "values", tuple(map(Fraction, self.values)))
+            object.__setattr__(self, "values", _fractions(self.values))
 
     def __add__(self, other: "VertexFunction") -> "VertexFunction":
         self._check_same_cube(other)
@@ -99,7 +102,7 @@ class VertexFunction:
         return VertexFunction(self.n, tuple(c * a for a in self.values))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.values)
 
     def _check_same_cube(self, other: "VertexFunction") -> None:
         if self.n != other.n:
@@ -110,9 +113,11 @@ def make_function(n: int, values) -> VertexFunction:
     """Build a VertexFunction from any iterable of exact rationals.
 
     Accepts ints, Fractions and 'p' / 'p/q' strings; floats are rejected.
+    Only the entries that are neither int nor Fraction go through
+    as_fraction; VertexFunction converts the ints.
     """
-    vals = tuple(as_fraction(v) for v in values)
-    return VertexFunction(n, vals)
+    exact = (int, Fraction)
+    return VertexFunction(n, tuple(v if type(v) in exact else as_fraction(v) for v in values))
 
 
 def zero_function(n: int) -> VertexFunction:
@@ -128,6 +133,17 @@ def _scaled_ints(values) -> tuple[list[int], int]:
     """Integers c and the lcm d of the denominators, with values[k] == c[k] / d."""
     d = math.lcm(*{v.denominator for v in values})
     return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _fractions(ints, d: int = 1) -> tuple[Fraction, ...]:
+    """The table ints[k] / d as Fractions, one Fraction per distinct entry.
+
+    Entries may be ints or Fractions; d is a nonzero int.  Equal entries
+    share one Fraction object, so a table of a few distinct values costs a
+    few Fraction constructions whatever its length.
+    """
+    value = {c: Fraction(c, d) for c in set(ints)}
+    return tuple(map(value.__getitem__, ints))
 
 
 def _butterfly(vals: list[int]) -> list[int]:
@@ -148,23 +164,26 @@ def walsh_transform(f: VertexFunction) -> VertexFunction:
     the normalized coefficient <f, chi_u> equals result[u] / 2^n.
     """
     ints, d = _scaled_ints(f.values)
-    return VertexFunction(f.n, tuple(Fraction(c, d) for c in _butterfly(ints)))
+    return VertexFunction(f.n, _fractions(_butterfly(ints), d))
 
 
 def inverse_walsh(fhat: VertexFunction) -> VertexFunction:
     """Inverse of walsh_transform: f(x) = (1/2^n) * sum_u fhat(u) * (-1)^(u.x)."""
     ints, d = _scaled_ints(fhat.values)
-    d <<= fhat.n
-    return VertexFunction(fhat.n, tuple(Fraction(c, d) for c in _butterfly(ints)))
+    return VertexFunction(fhat.n, _fractions(_butterfly(ints), d << fhat.n))
 
 
 def tensor(f1: VertexFunction, f2: VertexFunction) -> VertexFunction:
-    """Tensor product on H(m+n); value at code y*2^m + x is f1(x)*f2(y)."""
+    """Tensor product on H(m+n); value at code y*2^m + x is f1(x)*f2(y).
+
+    Multiplies the two tables scaled to ints, over the product of their
+    common denominators.
+    """
     m, n = f1.n, f2.n
     if m + n > MAX_DIMENSION:
         raise ValueError(f"tensor dimension {m + n} exceeds the cap {MAX_DIMENSION}")
-    vals = tuple(a * b for b in f2.values for a in f1.values)
-    return VertexFunction(m + n, vals)
+    (a, da), (b, db) = _scaled_ints(f1.values), _scaled_ints(f2.values)
+    return VertexFunction(m + n, _fractions([x * y for y in b for x in a], da * db))
 
 
 def restrict(f: VertexFunction, r: int, k: int) -> VertexFunction:
@@ -192,8 +211,8 @@ def inner_product(f: VertexFunction, g: VertexFunction) -> Fraction:
 
 def support(f: VertexFunction) -> frozenset[int]:
     """Vertex codes where f is nonzero (exact zero test)."""
-    return frozenset(x for x, v in enumerate(f.values) if v != 0)
+    return frozenset(compress(range(1 << f.n), f.values))
 
 
 def support_size(f: VertexFunction) -> int:
-    return sum(1 for v in f.values if v != 0)
+    return sum(map(bool, f.values))

@@ -38,11 +38,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import lshift
 
 from .constructions import Blueprint, build, enumerate_blueprints
-from .functions import MAX_DIMENSION, VertexFunction, _check_int, _scaled_ints
+from .functions import MAX_DIMENSION, VertexFunction, _check_int, _fractions, _scaled_ints
 from .spectral import SpectrumSet, _check_band, _levels
 
 EXHAUSTIVE_LIMIT = 5
@@ -368,7 +367,7 @@ def _canonical(n, codes, ints) -> list[int]:
 def _unit_lead(n, table) -> VertexFunction:
     """The int table divided by its first nonzero entry."""
     lead = next(filter(None, table))
-    return VertexFunction(n, tuple(Fraction(v, lead) for v in table))
+    return VertexFunction(n, _fractions(table, lead))
 
 
 def canonical_form(f: VertexFunction) -> VertexFunction:

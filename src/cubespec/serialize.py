@@ -42,8 +42,17 @@ def fields(payload, **types) -> list:
 
 
 def function_from_dict(payload: dict) -> VertexFunction:
+    """Decode a function, parsing each distinct value string once.
+
+    A table with a non-string entry, which may be unhashable, is parsed
+    entry by entry, so it fails at its first bad entry as an all-string
+    table does.
+    """
     n, values = fields(payload, n=int, values=list)
-    return VertexFunction(n, tuple(fraction_from_str(v) for v in values))
+    parse = fraction_from_str
+    if {*map(type, values)} <= {str}:
+        parse = {text: fraction_from_str(text) for text in dict.fromkeys(values)}.__getitem__
+    return VertexFunction(n, tuple(map(parse, values)))
 
 
 def vertex_to_bitstring(code: int, n: int) -> str:

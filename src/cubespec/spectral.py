@@ -17,6 +17,7 @@ from .functions import (
     VertexFunction,
     _butterfly,
     _check_int,
+    _fractions,
     _scaled_ints,
     restrict,
     weight,
@@ -89,8 +90,7 @@ def level_project(f: VertexFunction, i: int) -> VertexFunction:
     _check_int("level", i, 0, f.n)
     ints, d = _scaled_ints(f.values)
     masked = [c if u.bit_count() == i else 0 for u, c in enumerate(_butterfly(ints))]
-    d <<= f.n
-    return VertexFunction(f.n, tuple(Fraction(c, d) for c in _butterfly(masked)))
+    return VertexFunction(f.n, _fractions(_butterfly(masked), d << f.n))
 
 
 def in_band(f: VertexFunction, i: int, j: int) -> bool:

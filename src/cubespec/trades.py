@@ -97,9 +97,10 @@ def is_trade(tp: TradePair, t: int) -> bool:
 
 
 def sign_split(f: VertexFunction) -> TradePair:
-    """Positive-support / negative-support pair of f."""
-    t0 = frozenset(x for x, v in enumerate(f.values) if v > 0)
-    t1 = frozenset(x for x, v in enumerate(f.values) if v < 0)
+    """Positive-support / negative-support pair of f, read from the numerators' signs."""
+    signs = [v.numerator for v in f.values]
+    t0 = frozenset(x for x, s in enumerate(signs) if s > 0)
+    t1 = frozenset(x for x, s in enumerate(signs) if s < 0)
     if not t0 or not t1:
         raise ValueError("sign_split needs both positive and negative values")
     return TradePair(t0, t1, f.n)
@@ -120,9 +121,9 @@ def anf_degree(indicator: VertexFunction) -> int:
     monomial mask m is the XOR of the values over the subcube below m, and
     the degree is the largest popcount of a nonzero coefficient mask.
     """
-    if any(v not in (0, 1) for v in indicator.values):
+    coeffs, d = _scaled_ints(indicator.values)
+    if d != 1 or not {*coeffs} <= {0, 1}:
         raise ValueError("anf_degree expects a 0/1-valued indicator")
-    coeffs = [int(v) for v in indicator.values]
     if not any(coeffs):
         raise ValueError("anf_degree expects a nonzero indicator")
     # one stage per coordinate, as in functions._butterfly: the top bit to bit 0

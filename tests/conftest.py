@@ -61,6 +61,34 @@ def random_rational_function(rng, n):
     return make_function(n, vals)
 
 
+# equal values in several spellings: ints, Fractions and strings, reduced or not
+SPELLINGS = (
+    (0, "0/3", "-0", Fraction(0, 5)),
+    (1, "2/2", Fraction(3, 3)),
+    (-1, "-4/4", Fraction(-2, 2)),
+    ("1/2", "2/4", Fraction(2, 4)),
+    ("-3/6", Fraction(-1, 2)),
+    (3, "6/2", Fraction(9, 3)),
+)
+
+
+def mixed_table(rng, n, kind):
+    """A raw value table for make_function, entries spelled in mixed forms.
+
+    'repeated' draws each entry from the six values of SPELLINGS, so one
+    value appears as, say, "2/4", Fraction(2, 4) and "1/2"; 'distinct' has
+    2^n pairwise different signed values, 0 among them when n >= 1, half of
+    them written as unreduced 'p/q' strings.
+    """
+    size = 1 << n
+    if kind == "repeated":
+        return [rng.choice(rng.choice(SPELLINGS)) for _ in range(size)]
+    nums = rng.sample([x for x in range(-3 * size, 3 * size) if x], size)
+    if n:
+        nums[rng.randrange(size)] = 0
+    return [Fraction(c, 5) if rng.randrange(2) else f"{2 * c}/10" for c in nums]
+
+
 def random_band_function(rng, n, i, j, max_terms=5):
     """Random rational combination of characters with weights in [i, j].
 

@@ -42,6 +42,34 @@ def naive_inverse_walsh(fhat: VertexFunction) -> VertexFunction:
     return make_function(fhat.n, vals)
 
 
+def naive_tensor(values1, values2) -> list[Fraction]:
+    """Value at code c is values1[c mod m] * values2[c div m], m = len(values1),
+    one Fraction product per code."""
+    low = len(values1)
+    return [Fraction(values1[c % low]) * Fraction(values2[c // low])
+            for c in range(low * len(values2))]
+
+
+def naive_sign_split(values) -> tuple[set[int], set[int]]:
+    """The codes with a value above and below Fraction(0), by Fraction comparison."""
+    zero = Fraction(0)
+    return ({x for x, v in enumerate(values) if Fraction(v) > zero},
+            {x for x, v in enumerate(values) if Fraction(v) < zero})
+
+
+def naive_support(values) -> set[int]:
+    return {x for x, v in enumerate(values) if Fraction(v) != Fraction(0)}
+
+
+def naive_is_zero(values) -> bool:
+    return all(Fraction(v) == Fraction(0) for v in values)
+
+
+def naive_is_zero_one(values) -> bool:
+    """Whether every value equals Fraction(0) or Fraction(1)."""
+    return all(Fraction(v) in (Fraction(0), Fraction(1)) for v in values)
+
+
 def naive_eigen_relation(f: VertexFunction, lam) -> bool:
     """lam * f(x) equals the Fraction sum of f over every y at distance 1 from x."""
     size = 1 << f.n

@@ -314,6 +314,8 @@ def test_bad_json_input_exits_with_contract_error(capsys):
     ("split-subspace", "--inline", '{"n": 2, "basis": ["10"]}'),
     ("split-subspace", "--inline", '{"n": 2, "translation": "00", "basis": ["00"]}'),
     ("spectrum", "--inline", '{"n": true, "values": ["1", "0"]}'),
+    ("spectrum", "--inline", '{"n": 1, "values": [[0], "1"]}'),
+    ("spectrum", "--inline", '{"n": 1, "values": ["1", {"a": 1}]}'),
 ])
 def test_malformed_payload_exits_with_contract_error(capsys, argv):
     assert_contract_error(*run(capsys, *argv))

@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from cubespec import (
+    Blueprint,
+    LOWER,
     VertexFunction,
+    build,
     character,
     constant_function,
     in_band,
     inner_product,
     inverse_walsh,
+    level_project,
     make_function,
     parity_twist,
     phi,
@@ -23,8 +27,8 @@ from cubespec import (
     walsh_transform,
     zero_function,
 )
-from conftest import random_band_function, random_function, random_rational_function
-from oracles import naive_inverse_walsh, naive_walsh
+from conftest import SPELLINGS, mixed_table, random_band_function, random_function, random_rational_function
+from oracles import naive_inverse_walsh, naive_is_zero, naive_support, naive_tensor, naive_walsh
 
 
 class TestMakeFunction:
@@ -50,6 +54,13 @@ class TestMakeFunction:
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
             make_function(1, [0.5, 1])
+
+    @pytest.mark.parametrize("bad", [0.5, True, None], ids=repr)
+    def test_names_the_rejected_type(self, bad):
+        message = f"{type(bad).__name__} is not an exact rational; pass int, Fraction or 'p/q'"
+        for table in ([bad, 1], [1, bad]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make_function(1, table)
 
     @pytest.mark.parametrize("bad", [
         "1.5", "1e3", " 1", "1/0", "1/-2", "+1", "", True, False, 1.0, Decimal("0.1"), 1j, None, [1],
@@ -85,6 +96,11 @@ class TestVertexFunctionValues:
     def test_rejects_non_rational_values(self, bad):
         with pytest.raises(ValueError, match=f"index 2 is {type(bad).__name__}"):
             VertexFunction(2, (Fraction(1), 0, bad, bad))
+
+    def test_names_the_index_and_type(self):
+        message = "value at index 0 is float, expected int or Fraction"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VertexFunction(1, (0.5, 1))
 
     def test_ints_become_fractions(self):
         f = VertexFunction(2, (1, Fraction(1, 2), 0, -3))
@@ -258,3 +274,34 @@ class TestSupport:
     def test_tensor_support_codes(self):
         f = tensor(phi(2), point_mass(1))
         assert support(f) == {0, 3}
+
+
+class TestValueTables:
+    """Int and truthiness paths against the Fraction arithmetic of tests/oracles.py."""
+
+    @pytest.mark.parametrize("kind", ["repeated", "distinct"])
+    def test_tensor_matches_pointwise_products(self, rng, kind):
+        for m, n in [(0, 0), (0, 3), (1, 2), (2, 1), (3, 3), (4, 2)]:
+            a = mixed_table(rng, m, kind)
+            b = mixed_table(rng, n, rng.choice(["repeated", "distinct"]))
+            got = tensor(make_function(m, a), make_function(n, b)).values
+            assert list(got) == naive_tensor(a, b) and all(type(v) is Fraction for v in got)
+
+    @pytest.mark.parametrize("kind", ["repeated", "distinct", "zero"])
+    def test_zero_tests_match_fraction_comparisons(self, rng, kind):
+        for n in [*range(6)] * 2:
+            if kind == "zero":
+                vals = [rng.choice(SPELLINGS[0]) for _ in range(1 << n)]
+            else:
+                vals = mixed_table(rng, n, kind)
+            f = make_function(n, vals)
+            assert support(f) == naive_support(vals)
+            assert support_size(f) == len(naive_support(vals))
+            assert f.is_zero() is naive_is_zero(vals)
+
+    def test_equal_values_share_one_fraction(self, rng):
+        f = make_function(4, mixed_table(rng, 4, "repeated"))
+        for g in (tensor(f, f), walsh_transform(f), inverse_walsh(f), level_project(f, 2),
+                  VertexFunction(3, (1, 0, 0, -1, 0, 1, 1, 0))):
+            assert len({id(v) for v in g.values}) == len(set(g.values))
+        assert len({id(v) for v in build(Blueprint(LOWER, (1,), (2,), 1, 4)).values}) == 3

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,26 @@ class TestFunctionFormat:
             serialize.function_from_dict({"n": True, "values": ["1", "0"]})
         with pytest.raises(ValueError):
             serialize.function_from_dict(["1", "0"])
+
+    @pytest.mark.parametrize("bad", [1, True, None, [0], {"a": 1}], ids=repr)
+    def test_non_string_entries_fail_as_strings_do(self, bad):
+        # a non-string entry may be unhashable; it must not reach a cache keyed by entry
+        message = f"not a 'p' or 'p/q' rational string: {bad!r}"
+        for values in ([bad, "1"], ["1", bad]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                serialize.function_from_dict({"n": 1, "values": values})
+
+    def test_the_first_bad_entry_is_named(self):
+        for values, first in ((["x", 1, "1", "1"], "'x'"), ([1, "x", "1", "1"], "1"),
+                              (["1", "1/0", "y", "1/0"], "'1/0'")):
+            with pytest.raises(ValueError, match=f"string: {re.escape(first)}$"):
+                serialize.function_from_dict({"n": 2, "values": values})
+
+    def test_each_distinct_string_becomes_one_fraction(self):
+        values = ["1/2", "2/4", "1/2", "0", "-1", "0", "1/2", "-1"]
+        f = serialize.function_from_dict({"n": 3, "values": values})
+        assert f.values == tuple(map(Fraction, values))
+        assert len({id(v) for v in f.values}) == len(set(values))
 
 
 class TestBitstrings:

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -29,8 +30,15 @@ from cubespec import (
     three_values_check,
     zero_function,
 )
-from conftest import random_band_function
-from oracles import faces, naive_anf_degree, naive_is_trade
+from conftest import SPELLINGS, mixed_table, random_band_function
+from oracles import (
+    faces,
+    naive_anf_degree,
+    naive_is_trade,
+    naive_is_zero,
+    naive_is_zero_one,
+    naive_sign_split,
+)
 
 
 def moved(tp, perm, shift):
@@ -197,6 +205,18 @@ class TestSignSplit:
         with pytest.raises(ValueError):
             sign_split(psi(3))
 
+    @pytest.mark.parametrize("kind", ["repeated", "distinct"])
+    def test_matches_fraction_comparisons(self, rng, kind):
+        for n in [*range(6)] * 3:
+            vals = mixed_table(rng, n, kind)
+            pos, neg = naive_sign_split(vals)
+            if pos and neg:
+                tp = sign_split(make_function(n, vals))
+                assert (tp.t0, tp.t1) == (pos, neg)
+            else:
+                with pytest.raises(ValueError, match="both positive and negative"):
+                    sign_split(make_function(n, vals))
+
 
 class TestThreeValues:
     def test_examples(self):
@@ -230,9 +250,28 @@ class TestAnfDegree:
                 vals[0] = 1
             assert anf_degree(make_function(n, vals)) == naive_anf_degree(vals)
 
+    def test_zero_one_check_matches_fraction_comparisons(self, rng):
+        # 0 and 1 in every spelling, and sometimes one entry of another value
+        for n in [*range(6)] * 4:
+            vals = [rng.choice(rng.choice(SPELLINGS[:2])) for _ in range(1 << n)]
+            if rng.randrange(2):
+                vals[rng.randrange(len(vals))] = rng.choice(rng.choice(SPELLINGS[2:]))
+            f = make_function(n, vals)
+            if not naive_is_zero_one(vals):
+                with pytest.raises(ValueError, match="0/1-valued"):
+                    anf_degree(f)
+            elif naive_is_zero(vals):
+                with pytest.raises(ValueError, match="nonzero"):
+                    anf_degree(f)
+            else:
+                assert anf_degree(f) == naive_anf_degree([Fraction(v) for v in vals])
+
     def test_contract_violations(self):
         with pytest.raises(ValueError):
             anf_degree(make_function(1, [2, 0]))
+        with pytest.raises(ValueError, match="0/1-valued"):
+            # scaled by the lcm 2 these are the 0/1 ints [1, 0, 0, 1]
+            anf_degree(make_function(2, [Fraction(1, 2), 0, 0, "2/4"]))
         with pytest.raises(ValueError):
             anf_degree(zero_function(2))
 
