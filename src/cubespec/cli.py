@@ -10,13 +10,20 @@ arguments and the decoded input to the output and does no I/O; main alone
 reads the input, writes the output and picks the exit code.  A ValueError
 (usage errors included) is the contract error, an OSError the io error; a
 failed check raises VerificationError, whose output is written first.
+Input JSON too deeply nested to decode is a contract error too.
 Library functions are called as module attributes, looked up at call time,
 so a tracer that rebinds them also sees the calls made from here.
+
+build_parser is cached: main builds the parser on its first call, and every
+later call in the process reuses it.  That is safe because parse_args
+returns a fresh namespace each time, every default is immutable, and help
+and usage text look up sys.stdout and sys.stderr when they print.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -85,6 +92,8 @@ def _read_json(path: str, inline: str | None = None):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON input: {exc}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON input: nesting too deep") from None
 
 
 def _function(doc):
@@ -250,6 +259,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cubespec",

@@ -1,11 +1,17 @@
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cubespec import phi, point_mass, search, serialize, tensor
+import cubespec
+from cubespec import cli, phi, point_mass, search, serialize, tensor
 from cubespec.cli import COMMANDS, main
 
 
@@ -328,8 +334,8 @@ def _malformed_input_cases():
                 yield pytest.param(cmd, payload, id=f"{cmd.name}:{payload}")
 
 
-@pytest.mark.parametrize("cmd,payload", _malformed_input_cases())
-def test_every_input_command_rejects_malformed_input(tmp_path, capsys, cmd, payload):
+def _input_argv(tmp_path, cmd, payload):
+    """argv giving payload to cmd, inline or as its input files, with 1 for each required flag."""
     path = tmp_path / "input.json"
     path.write_text(payload)
     argv, inputs = [cmd.name], ["--inline", payload]
@@ -338,17 +344,54 @@ def test_every_input_command_rejects_malformed_input(tmp_path, capsys, cmd, payl
             argv += [flags[0], "1"]
         elif not flags[0].startswith("-"):  # input files instead of --inline
             inputs = [str(path)] * kwargs["nargs"]
-    assert_contract_error(*run(capsys, *argv, *inputs))
+    return argv + inputs
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("cmd,payload", _malformed_input_cases())
+def test_every_input_command_rejects_malformed_input(tmp_path, capsys, cmd, payload):
+    assert_contract_error(*run(capsys, *_input_argv(tmp_path, cmd, payload)))
+
+
+DEEP_JSON = {"unclosed": "[" * 100_000, "valid": "[" * 2000 + "]" * 2000}
+TOO_DEEP = "invalid JSON input: nesting too deep"
+
+
+@pytest.mark.parametrize("source", ["inline", "file", "stdin"])
+@pytest.mark.parametrize("payload", DEEP_JSON.values(), ids=DEEP_JSON.keys())
+def test_too_deep_json_is_a_contract_error(tmp_path, capsys, monkeypatch, source, payload):
+    argv = ["spectrum"]
+    if source == "inline":
+        argv += ["--inline", payload]
+    elif source == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(payload)
+        argv += ["--input", str(path)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, *argv)
+    assert_contract_error(code, out, err)
+    assert json.loads(err)["error"] == TOO_DEEP
+
+
+@pytest.mark.parametrize("cmd", [cmd for cmd in COMMANDS if cmd.decode is not None],
+                         ids=lambda cmd: cmd.name)
+def test_every_input_command_rejects_too_deep_json(tmp_path, capsys, cmd):
+    code, out, err = run(capsys, *_input_argv(tmp_path, cmd, DEEP_JSON["valid"]))
+    assert_contract_error(code, out, err)
+    assert json.loads(err)["error"] == TOO_DEEP
+
+
+USAGE_ERRORS = [
     ("spectrum", "--bogus"),
     ("min-support", "--n", "abc"),
     ("equivalent",),
     ("frobnicate",),
     (),
     ("min-support", "--n", "2", "--i", "1", "--j", "1", "--jobs", "2"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_error_exits_with_contract_error(capsys, argv):
     assert_contract_error(*run(capsys, *argv))
 
@@ -383,3 +426,87 @@ def test_demo_failure_writes_table_then_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out.count("FAIL") == 1 and out.count("PASS") >= 10
     assert json.loads(err) == {"error": "1 demo checks failed", "kind": "verification"}
+
+
+def _valid_argv(tmp_path):
+    """One valid call of every command in COMMANDS."""
+    a = write_function(tmp_path, "a.json", phi(2))
+    b = write_function(tmp_path, "b.json", phi(2).scale(-3))
+    argv = {
+        "build-optimal": ("--n", "4", "--i", "2", "--j", "3", "--index", "1"),
+        "enumerate": ("--n", "4", "--i", "2", "--j", "3"),
+        "spectrum": ("--inline", PHI2),
+        "project": ("--level", "1", "--inline", PHI2),
+        "in-band": ("--i", "1", "--j", "2", "--inline", PHI2),
+        "eigen-check": ("--lambda", "0", "--inline", PHI2),
+        "verify-trade": ("--t", "1", "--inline", TRADE),
+        "anf-degree": ("--inline", '{"n": 2, "values": ["1", "0", "0", "1"]}'),
+        "detect-affine": ("--inline", '{"n": 2, "vertices": ["00", "11"]}'),
+        "split-subspace": ("--inline", '{"n": 2, "translation": "00", "basis": ["11"]}'),
+        "min-support": ("--n", "3", "--i", "1", "--j", "2"),
+        "canonical": ("--inline", PHI2),
+        "equivalent": (a, b),
+        "verify-classification": ("--n", "3", "--i", "0", "--j", "2"),
+        "demo": (),
+    }
+    assert list(argv) == [cmd.name for cmd in COMMANDS]
+    return [(name, *rest) for name, rest in argv.items()]
+
+
+def _run_sequence(capsys, monkeypatch, steps):
+    """(exit code, stdout, stderr) of each (argv, failing) step; a failing step breaks equivalent."""
+    results = []
+    for argv, failing in steps:
+        with monkeypatch.context() as patch:
+            if failing:
+                patch.setattr(search, "equivalent", lambda f, g: False)
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+        results.append((code, *capsys.readouterr()))
+    return results
+
+
+def test_reused_parser_behaves_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    steps = [(argv, False) for argv in _valid_argv(tmp_path) + USAGE_ERRORS]
+    steps += [
+        (("min-support", "--n", "abc"), False),
+        (("min-support", "--n", "2", "--i", "1", "--j", "1"), False),
+        (("demo",), True),
+        (("--help",), False),
+        (("min-support", "--help"), False),
+        (("spectrum", "--inline", PHI2), False),
+    ]
+    cached = _run_sequence(capsys, monkeypatch, steps)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _run_sequence(capsys, monkeypatch, steps)
+    assert cached == fresh
+    codes = [result[0] for result in cached]
+    assert codes.count(2) == 1 and codes.count(("SystemExit", 0)) == 2
+    assert codes.count(0) == len(COMMANDS) + 2
+    assert codes.count(1) == len(USAGE_ERRORS) + 1
+
+
+def test_parser_is_built_once_and_not_at_import(tmp_path, capsys, monkeypatch):
+    main(["spectrum", "--inline", PHI2])
+    real = argparse.ArgumentParser.add_argument
+    added = []
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    mixed = _valid_argv(tmp_path)[:6] + USAGE_ERRORS[:4]
+    for argv in mixed:
+        main(list(argv))
+    assert len(mixed) == 10 and added == []
+
+    src = str(Path(cubespec.__file__).parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import cubespec.cli; print(cubespec.cli.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert probe.stdout == "0\n"
