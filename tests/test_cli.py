@@ -488,7 +488,7 @@ def test_reused_parser_behaves_like_a_fresh_one(tmp_path, capsys, monkeypatch):
     assert codes.count(1) == len(USAGE_ERRORS) + 1
 
 
-def test_parser_is_built_once_and_not_at_import(tmp_path, capsys, monkeypatch):
+def test_parser_is_built_once_and_not_at_import(tmp_path, monkeypatch):
     main(["spectrum", "--inline", PHI2])
     real = argparse.ArgumentParser.add_argument
     added = []
