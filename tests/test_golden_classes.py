@@ -1,7 +1,7 @@
 """CLI search output, pinned byte for byte.
 
 tests/golden_classes.json holds, for every band with n <= 4, the nine
-bands [i, j] at each of n = 5 and 6 with i <= 2 and j >= n - 2 (bound
+bands [i, j] at each of n = 5, 6 and 7 with i <= 2 and j >= n - 2 (bound
 <= 4) and the six n = 5 bands with bound 8, the minimum support, the
 number of classes and a sha256 of the stdout of verify-classification.
 The bound-8 bands take seconds each and are checked only with
@@ -35,7 +35,7 @@ GOLDEN_EXACT = Path(__file__).with_name("golden_exact_spectrum.json")
 EXTENDED = os.environ.get("CUBESPEC_EXTENDED") == "1"
 
 BANDS = [(n, i, j) for n in range(1, 5) for i in range(n + 1) for j in range(i, n + 1)] + [
-    (n, i, j) for n in (5, 6) for i in range(3) for j in range(n - 2, n + 1)
+    (n, i, j) for n in (5, 6, 7) for i in range(3) for j in range(n - 2, n + 1)
 ]
 BOUND_8_BANDS = [(5, i, j) for i in range(4) for j in range(i, 6) if max(1 << i, 1 << 5 - j) == 8]
 
