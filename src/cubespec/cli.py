@@ -177,7 +177,7 @@ def cmd_demo(args, _):
     tp = trades.sign_split(f)
     check("sign split of the 4-dim double pair is a [1]-trade", trades.is_trade(tp, 1), True)
     indicator = serialize.function_from_dict(
-        {"n": 4, "values": ["1" if v != 0 else "0" for v in f.values]}
+        {"n": 4, "values": ["1" if v else "0" for v in f.values]}
     )
     check("support indicator degree", trades.anf_degree(indicator), 2)
     sub = trades.detect_affine(functions.support(f), 4)

@@ -23,10 +23,12 @@ even where the product overflowed a lane.  A zero test is `not column`.
 The scan counts, not visits, children whose subtrees hold no dependence.
 Kernel vectors, their combinations and their level tests stay Python
 ints; Fractions are built only for the VertexFunctions handed back.
-Canonical forms compare integer tables too, and sweep one coordinate
-permutation per arrangement of cells, coordinates that an automorphism
-of f may swap (B. D. McKay, A. Piperno, "Practical graph isomorphism,
-II", J. Symbolic Comput. 60, 2014).
+Canonical forms compare integer tables too.  They walk the distinct
+arrangements of the coordinates' columns over the support depth first,
+from the top bit down, and cut every prefix whose placed bits already
+fix a first support vertex earlier than the best image's, the
+search-tree pruning of B. D. McKay, A. Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60, 2014.
 
 Scans are restricted to supports containing vertex 0, which is harmless:
 translating a function multiplies each Fourier coefficient by +-1, so band
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from operator import lshift
 
 from .constructions import Blueprint, build, enumerate_blueprints
 from .functions import MAX_DIMENSION, VertexFunction, _check_int, _fractions, _scaled_ints
@@ -279,53 +280,49 @@ def _witness(rows, supp, notes) -> list[int]:
     return _normalize_witness(kernel[0])
 
 
-def _max_min_xor(codes, nbits):
-    """max over w < 2^nbits of min(t ^ w for t in codes), and every w reaching it.
+def _arrangement_walk(n, codes, on_leaf):
+    """Depth-first over the coordinate arrangements of distinct codes that reach the best max-min.
 
-    Think of a descent from the top bit.  Where a group of codes agrees, w
-    takes the opposite bit, so every t ^ w has a 1 there; where the group
-    splits, the minimum has a 0 whatever w does, and it lies in the half
-    whose bit w matches, so both halves are followed.  Each code t ends
-    its own branch, where it is the minimum and t ^ w has a 0 exactly at
-    the bits where its branch split off from other codes: the top bits of
-    t ^ t' over the other codes t'.  Over the sorted codes those are the
-    running maxima of the top bits of neighbour differences, on either side
-    of t, so one pass each way finds every branch's value.  The best value
-    is the max-min, reached by w = t ^ value from each code that gets it.
+    An arrangement is a coordinate permutation, built by placing one column
+    (a coordinate's bits over the codes) per bit from bit n - 1 down; equal
+    columns give one arrangement.  Its max-min is the max over translations
+    w of min(t ^ w) over the moved codes t.  Along a path the codes fall
+    into groups that agree on the bits placed so far.  A column that leaves
+    a group whole gives that group's max-min a 1 in its bit, since w takes
+    the opposite bit; one that splits it gives a 0, since the minimum lies
+    in whichever half w matches.  So top, the best group's bits, are the
+    top bits of the max-min of every completion: only the groups that reach
+    top are kept, and a prefix whose top is below the bound on its bits is
+    cut.  At a leaf the kept groups are single codes, the k-th reached by
+    w = moved[k] ^ top, and on_leaf(moved, top, those k) returns the new
+    bound (-1 cuts nothing).  Columns, groups and the moved codes are ints
+    with an n-bit lane per code, and only the current path is held.
     """
-    codes = sorted(codes)
-    gaps = [1 << ((a ^ b).bit_length() - 1) for a, b in zip(codes, codes[1:])]
-    left = [0]  # the split bits of codes[k] from the codes before it
-    for g in gaps:
-        left.append(g | left[-1] & -(g << 1))
-    right = [0]  # the same from the codes after it, built back to front
-    for g in reversed(gaps):
-        right.append(g | right[-1] & -(g << 1))
-    mask = (1 << nbits) - 1
-    values = [mask & ~(lo | hi) for lo, hi in zip(left, reversed(right))]
-    top = max(values)
-    return top, [t ^ top for t, v in zip(codes, values) if v == top]
+    width = n or 1  # H(0) has one vertex, and it needs a lane too
+    mask = (1 << n) - 1
+    lanes = range(0, width * len(codes), width)
+    bound = -1
 
-
-def _distinct_permutations(items):
-    """Every distinct ordering of the multiset items once, in lexicographic order.
-
-    Each step is the classic next permutation: swap the last ascent's head
-    with the last larger entry and reverse the tail; equal items never swap.
-    """
-    seq = sorted(items)
-    while True:
-        yield tuple(seq)
-        i = len(seq) - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
+    def visit(rest, packed, top, groups):
+        nonlocal bound
+        if not rest:
+            leads = [(g.bit_length() - 1) // width for g in groups]
+            bound = on_leaf([packed >> s & mask for s in lanes], top, leads)
             return
-        j = len(seq) - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1:] = seq[:i:-1]
+        p = len(rest) - 1
+        for k, c in enumerate(rest):
+            if k and c == rest[k - 1]:
+                continue
+            whole = [g for g in groups if g & c in (0, g)]
+            if whole:
+                kept, reach = whole, top | 1 << p
+            else:
+                kept, reach = [h for g in groups for h in (g & c, g & ~c)], top
+            if reach >> p >= bound >> p:
+                visit(rest[:k] + rest[k + 1:], packed | c << p, reach, kept)
+
+    columns = sorted(sum((t >> c & 1) << s for t, s in zip(codes, lanes)) for c in range(n))
+    visit(columns, 0, 0, [sum(1 << s for s in lanes)])
 
 
 def _canonical(n, codes, ints) -> list[int]:
@@ -334,33 +331,29 @@ def _canonical(n, codes, ints) -> list[int]:
     f has support codes and values ints, integers on one scale.  An image
     led by value u holds v * (L // u) at each vertex, L the lcm of the |v|:
     L times the image scaled to +1 at its first support vertex, so int
-    tables order the images exactly.  Cells: with the support moved to
-    pass through 0, coordinates with equal columns (bits over the support)
-    swap without moving f, so one permutation per distinct arrangement of
-    the columns, n! / prod |cell|! of them, yields every image; a column
-    holds one byte per support vertex (n <= 8).  Per permutation only the
-    translations of _max_min_xor give the latest first support vertex and
-    the smaller table; a permutation short of the best so far is skipped.
-    Returns that table: L times the class representative, whose first
-    nonzero entry is L.
+    tables order the images exactly.  With the support moved to pass
+    through 0, coordinates with equal columns swap without moving f, so
+    the distinct arrangements of _arrangement_walk, each with every
+    translation, yield every image.  A later first support vertex makes a
+    smaller table, so only the translations that reach an arrangement's
+    max-min are compared, and the walk cuts every prefix whose max-min
+    falls below the best table's.  Returns that table: L times the class
+    representative, whose first nonzero entry is L.
     """
     scale = math.lcm(*{abs(v) for v in ints})
     by_lead = {u: [v * (scale // u) for v in ints] for u in set(ints)}  # [k]: ints[k] / u * scale
-    base = codes[0]
-    columns = [sum(((x ^ base) >> c & 1) << 8 * t for t, x in enumerate(codes)) for c in range(n)]
     best = None
-    first = -1
-    for arrangement in _distinct_permutations(columns):
-        moved = sum(map(lshift, arrangement, range(n))).to_bytes(len(codes), "little")
-        top, ws = _max_min_xor(moved, n)
-        if top < first:
-            continue
-        for w in ws:
-            image = [t ^ w for t in moved]
-            lead = moved.index(top ^ w)
-            table = _table(n, image, by_lead[ints[lead]])
+
+    def compare(moved, top, leads):
+        nonlocal best
+        for k in leads:
+            w = moved[k] ^ top
+            table = _table(n, [t ^ w for t in moved], by_lead[ints[k]])
             if best is None or table < best:
-                best, first = table, top
+                best = table
+        return top
+
+    _arrangement_walk(n, [x ^ codes[0] for x in codes], compare)
     return best
 
 
@@ -376,13 +369,15 @@ def canonical_form(f: VertexFunction) -> VertexFunction:
     Each candidate c * (f o pi), for pi a coordinate permutation composed
     with a translation, is scaled to +1 at its first support vertex, and
     the smallest value table (vertex-code order) wins: the minimum over the
-    whole group, found by _canonical on the support and its values as ints.
-    Idempotent and constant on classes.
+    whole group, found by _canonical on the support and its values as ints,
+    whose walk over coordinate arrangements cuts every prefix that cannot
+    reach the latest first support vertex.  Idempotent and constant on
+    classes.
     """
     n = f.n
     if n > CANONICAL_LIMIT:
         raise ValueError(f"canonical_form sweeps the full group only for n <= {CANONICAL_LIMIT}")
-    codes = [x for x, v in enumerate(f.values) if v != 0]
+    codes = [x for x, v in enumerate(f.values) if v]
     if not codes:
         raise ValueError("canonical_form needs a nonzero function")
     return _unit_lead(n, _canonical(n, codes, _scaled_ints([f.values[x] for x in codes])[0]))

@@ -108,7 +108,7 @@ def sign_split(f: VertexFunction) -> TradePair:
 
 def three_values_check(f: VertexFunction) -> bool:
     """True iff the nonzero values of f all share one magnitude."""
-    magnitudes = {abs(v) for v in f.values if v != 0}
+    magnitudes = {abs(v) for v in f.values if v}
     if not magnitudes:
         raise ValueError("three_values_check needs a nonzero function")
     return len(magnitudes) == 1

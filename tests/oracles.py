@@ -65,6 +65,11 @@ def naive_is_zero(values) -> bool:
     return all(Fraction(v) == Fraction(0) for v in values)
 
 
+def naive_magnitudes(values) -> set[Fraction]:
+    """The absolute values of the entries that differ from Fraction(0), by Fraction comparison."""
+    return {abs(Fraction(v)) for v in values if Fraction(v) != Fraction(0)}
+
+
 def naive_is_zero_one(values) -> bool:
     """Whether every value equals Fraction(0) or Fraction(1)."""
     return all(Fraction(v) in (Fraction(0), Fraction(1)) for v in values)

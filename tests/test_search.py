@@ -27,8 +27,9 @@ from cubespec import (
     verify_classification,
 )
 from cubespec import search
-from cubespec.search import _distinct_permutations, _kernel_basis, _max_min_xor
-from oracles import fraction_rank, naive_canonical_form, naive_min_support, rref_kernel, sign
+from cubespec.search import _kernel_basis
+from conftest import mixed_table
+from oracles import fraction_rank, naive_canonical_form, naive_is_zero, naive_min_support, rref_kernel, sign
 
 EXTENDED = os.environ.get("CUBESPEC_EXTENDED") == "1"
 
@@ -404,6 +405,17 @@ class TestCanonicalForm:
             f = make_function(n, vals)
             assert canonical_form(f) == naive_canonical_form(f), f
 
+    @pytest.mark.parametrize("kind", ["repeated", "distinct"])
+    def test_matches_full_sweep_oracle_on_mixed_spellings(self, rng, kind):
+        for n in [*range(5)] * 3:
+            vals = mixed_table(rng, n, kind)
+            f = make_function(n, vals)
+            if naive_is_zero(vals):
+                with pytest.raises(ValueError, match="nonzero function"):
+                    canonical_form(f)
+            else:
+                assert canonical_form(f) == naive_canonical_form(f), vals
+
     def test_matches_full_sweep_oracle_on_blueprints(self):
         bands = [(n, i, j) for n in range(1, 6) for i in range(n + 1) for j in range(i, n + 1)]
         functions = [build(bp) for band in bands + [(6, 3, 4)] for bp in enumerate_blueprints(*band)]
@@ -482,8 +494,7 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("n,i,j,witnesses,classes", [
         (6, 2, 6, 301, 9),
-        pytest.param(7, 2, 7, 966, 12, marks=pytest.mark.skipif(
-            not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=7 classes")),
+        (7, 2, 7, 966, 12),
     ])
     def test_witnesses_above_n5_give_the_blueprint_forms(self, n, i, j, witnesses, classes):
         rows, size, supports, _ = search._scan_supports(n, i, j, True, "extended")
@@ -497,16 +508,59 @@ class TestCanonicalForm:
         assert forms == set(blueprint_forms)
 
 
+def walk_leaves(n, codes, cut=True):
+    """The leaves _arrangement_walk reaches, in order: (moved codes, max-min, sorted translations).
+
+    With cut the bound is each leaf's max-min, as in search._canonical;
+    without it the bound stays -1 and every distinct arrangement is a leaf.
+    """
+    leaves = []
+
+    def leaf(moved, top, leads):
+        leaves.append((tuple(moved), top, sorted(moved[k] ^ top for k in leads)))
+        return top if cut else -1
+
+    search._arrangement_walk(n, codes, leaf)
+    return leaves
+
+
+def max_min_oracle(codes, nbits):
+    """max over w < 2^nbits of min(t ^ w for t in codes), and every w reaching it, by brute force."""
+    reach = {w: min(t ^ w for t in codes) for w in range(1 << nbits)}
+    top = max(reach.values())
+    return top, sorted(w for w, v in reach.items() if v == top)
+
+
+@cache
+def set_max_min(nbits, codes):
+    """max_min_oracle for a frozenset of codes, cached: a code set recurs under many permutations."""
+    return max_min_oracle(codes, nbits)
+
+
+@cache
+def permuted_codes(n):
+    """For each coordinate permutation of H(n), the image of every code."""
+    return [[sum(1 << perm[c] for c in range(n) if x >> c & 1) for x in range(1 << n)]
+            for perm in permutations(range(n))]
+
+
 class TestDistinctPermutations:
+    """Uncut, _arrangement_walk visits every distinct arrangement of the columns once."""
+
     @staticmethod
     def check(items):
-        got = list(_distinct_permutations(items))
+        # the column at coordinate c is 1 at code r + 1 alone, r the rank of items[c]
+        ranks = sorted(set(items))
+        codes = [0] + [sum(1 << c for c, v in enumerate(items) if v == r) for r in ranks]
+        got = [tuple(next(r for k, r in enumerate(ranks, 1) if moved[k] >> p & 1)
+                     for p in reversed(range(len(items))))
+               for moved, _, _ in walk_leaves(len(items), codes, cut=False)]
         count = math.factorial(len(items))
         for m in Counter(items).values():
             count //= math.factorial(m)
         assert len(got) == len(set(got)) == count
         assert set(got) == set(permutations(items))
-        assert got == sorted(got)
+        assert got == sorted(got)  # read from the top bit down
 
     @pytest.mark.parametrize("items", [(), (7,), (1, 1, 1), (2, 1, 2, 1), (3, 1, 2, 1, 3, 3),
                                        tuple(range(6)), (0, 0, 1, 1, 2, 2, 2, 5)], ids=repr)
@@ -519,26 +573,52 @@ class TestDistinctPermutations:
 
 
 class TestMaxMinXor:
-    @staticmethod
-    def brute(codes, nbits):
-        reach = {w: min(t ^ w for t in codes) for w in range(1 << nbits)}
-        top = max(reach.values())
-        return top, sorted(w for w, v in reach.items() if v == top)
+    """The max-min and the translations reaching it at the leaves of _arrangement_walk."""
 
     def test_matches_brute_force(self, rng):
-        for _ in range(2000):
+        for _ in range(500):
             nbits = rng.randint(0, 6)
             codes = rng.sample(range(1 << nbits), rng.randint(1, 1 << nbits))
-            top, ws = _max_min_xor(codes, nbits)
-            assert (top, sorted(ws)) == self.brute(codes, nbits), codes
+            leaves = {moved: (top, ws) for moved, top, ws in walk_leaves(nbits, codes, cut=False)}
+            assert leaves[tuple(codes)] == max_min_oracle(codes, nbits), codes  # the identity arrangement
+            if nbits <= 3:
+                assert all(leaves[m] == max_min_oracle(m, nbits) for m in leaves), codes
 
     def test_no_bits(self):
-        assert _max_min_xor([0], 0) == (0, [0])
+        assert walk_leaves(0, [0]) == [((0,), 0, [0])]
 
     def test_all_codes_let_every_translation_reach_zero(self):
         for nbits in range(5):
-            top, ws = _max_min_xor(list(range(1 << nbits)), nbits)
-            assert (top, sorted(ws)) == (0, list(range(1 << nbits)))
+            leaves = walk_leaves(nbits, list(range(1 << nbits)), cut=False)
+            assert len(leaves) == math.factorial(nbits)
+            assert all(leaf[1:] == (0, list(range(1 << nbits))) for leaf in leaves)
+
+
+class TestArrangementWalk:
+    @staticmethod
+    def check_cut(n, codes):
+        """The cut walk against every coordinate permutation and translation of codes."""
+        images = {tuple(image[x] for x in codes) for image in permuted_codes(n)}
+        reach = {moved: set_max_min(n, frozenset(moved)) for moved in images}
+        top = max(r[0] for r in reach.values())
+        leaves = walk_leaves(n, codes)
+        assert len({moved for moved, _, _ in leaves}) == len(leaves)
+        tops = [t for _, t, _ in leaves]
+        assert tops == sorted(tops) and tops[-1] == top  # a leaf below the bound is never reached
+        best = {moved: (t, ws) for moved, t, ws in leaves if t == top}
+        assert best == {moved: r for moved, r in reach.items() if r[0] == top}, (n, codes)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.skipif(
+        not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the 65,535 supports at n=4"))])
+    def test_cut_keeps_exactly_the_best_arrangements_of_every_support(self, n):
+        for subset in range(1, 1 << (1 << n)):
+            self.check_cut(n, [x for x in range(1 << n) if subset >> x & 1])
+
+    @pytest.mark.parametrize("n,count", [(4, 400), (5, 60)])
+    def test_cut_keeps_exactly_the_best_arrangements_of_random_supports(self, rng, n, count):
+        for _ in range(count):
+            size = rng.choice([2, 3, 4, 4, 5, 6, 8, 8, 12, 1 << n - 1, 1 << n])
+            self.check_cut(n, sorted(rng.sample(range(1 << n), size)))
 
 
 class TestEquivalent:

@@ -37,6 +37,7 @@ from oracles import (
     naive_is_trade,
     naive_is_zero,
     naive_is_zero_one,
+    naive_magnitudes,
     naive_sign_split,
 )
 
@@ -227,6 +228,17 @@ class TestThreeValues:
     def test_zero_function_rejected(self):
         with pytest.raises(ValueError):
             three_values_check(zero_function(2))
+
+    @pytest.mark.parametrize("kind", ["repeated", "distinct"])
+    def test_matches_fraction_comparisons(self, rng, kind):
+        for n in [*range(6)] * 3:
+            vals = mixed_table(rng, n, kind)
+            magnitudes = naive_magnitudes(vals)
+            if magnitudes:
+                assert three_values_check(make_function(n, vals)) is (len(magnitudes) == 1)
+            else:
+                with pytest.raises(ValueError, match="nonzero function"):
+                    three_values_check(make_function(n, vals))
 
 
 class TestAnfDegree:
