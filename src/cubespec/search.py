@@ -290,7 +290,7 @@ def _arrangement_walk(n, codes, on_leaf):
     into groups that agree on the bits placed so far.  A column that leaves
     a group whole gives that group's max-min a 1 in its bit, since w takes
     the opposite bit; one that splits it gives a 0, since the minimum lies
-    in whichever half w matches.  So top, the best group's bits, are the
+    in whichever half w matches.  So the best groups' bits, top, are the
     top bits of the max-min of every completion: only the groups that reach
     top are kept, and a prefix whose top is below the bound on its bits is
     cut.  At a leaf the kept groups are single codes, the k-th reached by
