@@ -1,11 +1,11 @@
 """CLI search output, pinned byte for byte.
 
 tests/golden_classes.json holds, for every band with n <= 4, the nine
-bands [i, j] at each of n = 5, 6 and 7 with i <= 2 and j >= n - 2 (bound
-<= 4) and the six n = 5 bands with bound 8, the minimum support, the
-number of classes and a sha256 of the stdout of verify-classification.
-The bound-8 bands take seconds each and are checked only with
-CUBESPEC_EXTENDED=1.
+bands [i, j] at each of n = 5, 6, 7 and 8 with i <= 2 and j >= n - 2
+(bound <= 4) and the six n = 5 bands with bound 8, the minimum support,
+the number of classes and a sha256 of the stdout of verify-classification.
+The n = 5 bound-8 bands and the n = 8 bands take seconds each and are
+checked only with CUBESPEC_EXTENDED=1.
 tests/golden_exact_spectrum.json holds, for every nonempty level set at
 n = 2..4, the minimum support, the number of nodes examined and a sha256 of
 the stdout of min-support --exact-spectrum, the scan that descends through
@@ -38,6 +38,7 @@ BANDS = [(n, i, j) for n in range(1, 5) for i in range(n + 1) for j in range(i, 
     (n, i, j) for n in (5, 6, 7) for i in range(3) for j in range(n - 2, n + 1)
 ]
 BOUND_8_BANDS = [(5, i, j) for i in range(4) for j in range(i, 6) if max(1 << i, 1 << 5 - j) == 8]
+N8_BANDS = [(8, i, j) for i in range(3) for j in range(6, 9)]
 
 LEVEL_SETS = [
     (n, levels)
@@ -88,17 +89,19 @@ def _golden_exact() -> dict:
     return {tuple(rec["levels"]): rec for rec in json.loads(GOLDEN_EXACT.read_text())}
 
 
-@pytest.mark.parametrize("band", BANDS + [
-    pytest.param(band, marks=pytest.mark.skipif(
-        not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-8 bands"))
-    for band in BOUND_8_BANDS
-], ids=lambda b: "n{}_{}_{}".format(*b))
+def _extended(bands: list, what: str) -> list:
+    reason = f"set CUBESPEC_EXTENDED=1 for the {what}"
+    return [pytest.param(band, marks=pytest.mark.skipif(not EXTENDED, reason=reason)) for band in bands]
+
+
+@pytest.mark.parametrize("band", BANDS + _extended(BOUND_8_BANDS, "n=5 bound-8 bands")
+                         + _extended(N8_BANDS, "n=8 bands"), ids=lambda b: "n{}_{}_{}".format(*b))
 def test_class_table_matches_golden(band):
     assert classification_record(*band) == _golden()[band]
 
 
 def test_golden_covers_every_band():
-    assert sorted(_golden()) == sorted(BANDS + BOUND_8_BANDS)
+    assert sorted(_golden()) == sorted(BANDS + BOUND_8_BANDS + N8_BANDS)
 
 
 @pytest.mark.parametrize(
@@ -118,5 +121,5 @@ def _write(path: Path, records: list[dict]) -> None:
 
 
 if __name__ == "__main__":
-    _write(GOLDEN, [classification_record(*band) for band in BANDS + BOUND_8_BANDS])
+    _write(GOLDEN, [classification_record(*band) for band in BANDS + BOUND_8_BANDS + N8_BANDS])
     _write(GOLDEN_EXACT, [exact_spectrum_record(n, levels) for n, levels in LEVEL_SETS])
