@@ -4,11 +4,15 @@ Feasibility of a candidate support S for a band is decided with no help
 from the construction code: build the matrix whose rows are the characters
 at masks with weight outside the band, restricted to the columns x in S,
 and test the columns for rational linear dependence by exact integer
-elimination.  The smallest dependent support is the band minimum, a kernel
-vector is a witness, and canonical forms under the full automorphism group
-(coordinate permutations composed with translations, plus scaling) turn
-witness lists into equivalence classes that can be matched one-to-one
-against enumerated blueprints.
+elimination.  The smallest dependent support is the band minimum and a
+kernel vector is a witness.  Classification counts orbits: a minimal
+support is a circuit and carries one function up to scale, so the
+blueprints are every class exactly when each lies in the band with the
+minimal support, their canonical forms under the full automorphism group
+(coordinate permutations composed with translations, plus scaling) are
+distinct, and the sum of n! * size / |Aut| over them equals the number of
+minimal supports through 0.  Only when that fails are the supports'
+witnesses canonicalised one by one.
 
 The support scan and the kernel extraction share one elimination engine,
 _bareiss_step.  A column is one Python int holding row k in the k-th
@@ -28,7 +32,8 @@ arrangements of the coordinates' columns over the support depth first,
 from the top bit down, and cut every prefix whose placed bits already
 fix a first support vertex earlier than the best image's, the
 search-tree pruning of B. D. McKay, A. Piperno, "Practical graph
-isomorphism, II", J. Symbolic Comput. 60, 2014.
+isomorphism, II", J. Symbolic Comput. 60, 2014; the tied leaves it
+visits give |Aut|.
 
 Scans are restricted to supports containing vertex 0, which is harmless:
 translating a function multiplies each Fourier coefficient by +-1, so band
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .constructions import Blueprint, build, enumerate_blueprints
@@ -272,12 +278,9 @@ def _normalize_witness(ints) -> list[int]:
     return [x // g for x in ints]
 
 
-def _witness(rows, supp, notes) -> list[int]:
-    """The normalized first kernel vector of supp; notes a kernel dimension other than 1."""
-    kernel = _kernel_basis(rows, supp)
-    if len(kernel) != 1:
-        notes.append(f"kernel dimension {len(kernel)} at support {supp}")
-    return _normalize_witness(kernel[0])
+def _witness(rows, supp) -> list[int]:
+    """The normalized first kernel vector of supp, the only one when supp is minimal."""
+    return _normalize_witness(_kernel_basis(rows, supp)[0])
 
 
 def _arrangement_walk(n, codes, on_leaf):
@@ -325,8 +328,8 @@ def _arrangement_walk(n, codes, on_leaf):
     visit(columns, 0, 0, [sum(1 << s for s in lanes)])
 
 
-def _canonical(n, codes, ints) -> list[int]:
-    """The least image of f under the automorphisms of H(n), as an int table.
+def _canonical(n, codes, ints) -> tuple[list[int], int]:
+    """The least image of f under the automorphisms of H(n), as an int table, and |Aut f|.
 
     f has support codes and values ints, integers on one scale.  An image
     led by value u holds v * (L // u) at each vertex, L the lcm of the |v|:
@@ -337,24 +340,31 @@ def _canonical(n, codes, ints) -> list[int]:
     translation, yield every image.  A later first support vertex makes a
     smaller table, so only the translations that reach an arrangement's
     max-min are compared, and the walk cuts every prefix whose max-min
-    falls below the best table's.  Returns that table: L times the class
-    representative, whose first nonzero entry is L.
+    falls below the best table's.  Returns that table, L times the class
+    representative, whose first nonzero entry is L, and the number of
+    automorphisms that map f to a multiple of itself: the (leaf,
+    translation) pairs whose table equals the best, times m! for each m
+    equal columns, which swap among themselves at every leaf.
     """
     scale = math.lcm(*{abs(v) for v in ints})
     by_lead = {u: [v * (scale // u) for v in ints] for u in set(ints)}  # [k]: ints[k] / u * scale
-    best = None
+    best, aut = None, 0
 
     def compare(moved, top, leads):
-        nonlocal best
+        nonlocal best, aut
         for k in leads:
             w = moved[k] ^ top
             table = _table(n, [t ^ w for t in moved], by_lead[ints[k]])
             if best is None or table < best:
-                best = table
+                best, aut = table, 0
+            aut += table == best
         return top
 
-    _arrangement_walk(n, [x ^ codes[0] for x in codes], compare)
-    return best
+    moved = [x ^ codes[0] for x in codes]
+    _arrangement_walk(n, moved, compare)
+    for m in Counter(tuple(t >> c & 1 for t in moved) for c in range(n)).values():
+        aut *= math.factorial(m)
+    return best, aut
 
 
 def _unit_lead(n, table) -> VertexFunction:
@@ -380,7 +390,7 @@ def canonical_form(f: VertexFunction) -> VertexFunction:
     codes = [x for x, v in enumerate(f.values) if v]
     if not codes:
         raise ValueError("canonical_form needs a nonzero function")
-    return _unit_lead(n, _canonical(n, codes, _scaled_ints([f.values[x] for x in codes])[0]))
+    return _unit_lead(n, _canonical(n, codes, _scaled_ints([f.values[x] for x in codes])[0])[0])
 
 
 def equivalent(f: VertexFunction, g: VertexFunction) -> bool:
@@ -419,10 +429,9 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport
     """
     start = time.perf_counter()
     rows, size, supports, nodes = _scan_supports(n, i, j, unsafe, "unsafe")
-    notes = []
-    witness = _function(n, supports[0], _witness(rows, supports[0], notes))
+    witness = _function(n, supports[0], _witness(rows, supports[0]))
     return SearchReport(
-        n=n, i=i, j=j, min_support=size, witness=witness, notes=tuple(notes),
+        n=n, i=i, j=j, min_support=size, witness=witness,
         elapsed=time.perf_counter() - start, nodes_examined=nodes,
     )
 
@@ -502,10 +511,13 @@ def min_support_exact_spectrum(
 def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> SearchReport:
     """Cross-check the optimal classes of a band against the blueprints.
 
-    Collects every minimal-size feasible support through vertex 0, extracts
-    a kernel witness from each (reporting any kernel of dimension other
-    than 1), dedupes witnesses by canonical form, and matches the class set
-    against the enumerated blueprints.  ok is True only when the minimum
+    Collects every minimal-size feasible support through vertex 0.  The
+    blueprints are the classes when (a) each is in the band, by its levels,
+    with support exactly the minimum, (b) their canonical forms are
+    distinct and (c) their orbit counts n! * size / |Aut| sum to the number
+    of supports found (module docstring); then only the reported witness
+    takes a kernel.  Otherwise the fallback dedupes a kernel witness of
+    every support by canonical form.  ok is True only when the minimum
     equals the sharp bound and the match is a bijection with no extras and
     no misses.  Refuses n beyond the exhaustive limit unless extended is
     set, and beyond CANONICAL_LIMIT always.
@@ -516,25 +528,38 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     notes = []
     if size != expected:
         notes.append(f"minimum support {size} differs from the sharp bound {expected}")
-    witnesses = [_witness(rows, supp, notes) for supp in supports]
-    # a class holds primitive vectors of one multiset of |v|, so one table
-    tables = {tuple(_canonical(n, supp, w)) for supp, w in zip(supports, witnesses)}
-    classes = tuple(sorted((_unit_lead(n, t) for t in tables), key=lambda c: c.values))
-    class_index = {c.values: idx for idx, c in enumerate(classes)}
     bps = enumerate_blueprints(n, i, j)
-    bp_values = [canonical_form(build(bp)).values for bp in bps]
+    forms, orbits, in_band = [], 0, True
+    for bp in bps:
+        table = _scaled_ints(build(bp).values)[0]
+        codes = [x for x, v in enumerate(table) if v]
+        form, aut = _canonical(n, codes, [table[x] for x in codes])
+        forms.append(_unit_lead(n, form))
+        orbits += math.factorial(n) * size // aut
+        in_band = in_band and len(codes) == size and _levels(table) <= frozenset(range(i, j + 1))
+    bp_values = [f.values for f in forms]
+    distinct = len(set(bp_values)) == len(bp_values)
+    if in_band and distinct and orbits == len(supports):
+        classes, witness = forms, _witness(rows, supports[0])
+    else:
+        witnesses = [_witness(rows, supp) for supp in supports]
+        # a class holds primitive vectors of one multiset of |v|, so one table
+        tables = {tuple(_canonical(n, supp, w)[0]) for supp, w in zip(supports, witnesses)}
+        classes, witness = [_unit_lead(n, t) for t in tables], witnesses[0]
+    classes = tuple(sorted(classes, key=lambda c: c.values))
+    class_index = {c.values: idx for idx, c in enumerate(classes)}
     matched = tuple(zip(bps, map(class_index.get, bp_values)))
     mismatches = [
         f"blueprint {bp.case} odd={bp.odd_parts} even={bp.even_parts} "
         f"r={bp.remainder} matches no search class"
         for bp, idx in matched if idx is None
     ]
-    if len(set(bp_values)) != len(bp_values):
+    if not distinct:
         mismatches.append("distinct blueprints collided in canonical form")
     if len(bps) != len(classes):
         mismatches.append(f"{len(classes)} search classes vs {len(bps)} blueprints")
     return SearchReport(
-        n=n, i=i, j=j, min_support=size, witness=_function(n, supports[0], witnesses[0]),
+        n=n, i=i, j=j, min_support=size, witness=_function(n, supports[0], witness),
         classes_found=classes, matched_blueprints=matched,
         ok=size == expected and not mismatches, notes=tuple(notes + mismatches),
         elapsed=time.perf_counter() - start, nodes_examined=nodes,

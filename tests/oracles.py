@@ -4,14 +4,15 @@ Everything here is written in the most literal O(4^n)-ish style on purpose
 so it shares no code path with the library: double-sum transforms,
 subset-XOR algebraic coefficients, explicit face scans, a Gauss-Jordan
 kernel, an all-subsets rank search that does not use the library's
-pruning, and a canonical form that builds and compares every dense image
-table.
+pruning, a canonical form that builds and compares every dense image
+table, and a stabiliser order that tests every map of the group.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 from cubespec import VertexFunction, make_function
 
@@ -230,3 +231,25 @@ def naive_canonical_form(f: VertexFunction) -> VertexFunction:
             if best is None or table < best:
                 best = table
     return make_function(f.n, best)
+
+
+def naive_stabiliser_order(f: VertexFunction) -> int:
+    """The number of the 2^n * n! maps x -> perm(x ^ v) that send f to a multiple of itself.
+
+    The image g of f under a map has g(perm(x ^ v)) = f(x), so g(y) =
+    f(perm^-1(y) ^ v); it is c * f exactly when g(y) * f(lead) == f(y) *
+    g(lead) at every vertex y, lead the first nonzero vertex of f.  The
+    test runs on f times the lcm of its denominators, as ints.
+    """
+    size = 1 << f.n
+    scale = lcm(*(Fraction(v).denominator for v in f.values))
+    vals = [int(v * scale) for v in f.values]
+    lead = next(x for x in range(size) if vals[x] != 0)
+    count = 0
+    for perm in permutations(range(f.n)):
+        moved = [sum(1 << perm[c] for c in range(f.n) if x >> c & 1) for x in range(size)]
+        inverse = [moved.index(y) for y in range(size)]
+        for v in range(size):
+            at_lead = vals[inverse[lead] ^ v]
+            count += all(vals[inverse[y] ^ v] * vals[lead] == vals[y] * at_lead for y in range(size))
+    return count

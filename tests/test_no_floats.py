@@ -6,7 +6,7 @@ import pytest
 import cubespec
 
 SOURCES = sorted(Path(cubespec.__file__).parent.glob("*.py"))
-EXACT_MATH = {"gcd", "lcm", "isqrt", "comb"}
+EXACT_MATH = {"gcd", "lcm", "isqrt", "comb", "factorial"}
 
 
 def float_uses(tree):
@@ -43,7 +43,8 @@ def test_the_check_catches_each_kind():
 x = 0.5
 y = float(3)
 z = math.sqrt(2)
-w = math.gcd(4, 6) + math.isqrt(9)
+w = math.gcd(4, 6) + math.isqrt(9) + math.factorial(5)
+t = math.fsum([1, 2])
 from math import log, comb
 import math as m
 def f(v: float) -> float:
@@ -51,5 +52,5 @@ def f(v: float) -> float:
         raise ValueError
 """
     found = [what for _, what in float_uses(ast.parse(source))]
-    assert sorted(found) == sorted(["literal 0.5", "float(...) call", "math.sqrt",
+    assert sorted(found) == sorted(["literal 0.5", "float(...) call", "math.sqrt", "math.fsum",
                                     "from math import log", "import math as m"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 from cubespec import (
     Blueprint,
     LOWER,
+    UPPER,
     build,
     canonical_form,
     enumerate_blueprints,
@@ -27,11 +29,25 @@ from cubespec import (
     verify_classification,
 )
 from cubespec import search
+from cubespec.functions import _scaled_ints
 from cubespec.search import _kernel_basis
 from conftest import mixed_table
-from oracles import fraction_rank, naive_canonical_form, naive_is_zero, naive_min_support, rref_kernel, sign
+from oracles import (
+    fraction_rank,
+    naive_canonical_form,
+    naive_is_zero,
+    naive_min_support,
+    naive_stabiliser_order,
+    rref_kernel,
+    sign,
+)
 
 EXTENDED = os.environ.get("CUBESPEC_EXTENDED") == "1"
+
+# every band with n <= 4 and the nine n = 5 bands with bound <= 4
+SMALL_BANDS = [(n, i, j) for n in range(1, 5) for i in range(n + 1) for j in range(i, n + 1)] + [
+    (5, i, j) for i in range(3) for j in range(3, 6)
+]
 
 
 class TestMinSupport:
@@ -477,7 +493,7 @@ class TestCanonicalForm:
                       (n, *self.moved(n, codes, vec, perm, rng.randrange(1 << n)))]
         results = []
         for n, codes, vec in cases:
-            table = search._canonical(n, codes, vec)
+            table, _ = search._canonical(n, codes, vec)
             values = [0] * (1 << n)
             for x, v in zip(codes, vec):
                 values[x] = v
@@ -492,6 +508,33 @@ class TestCanonicalForm:
                 outcomes.add(form == other_form)
         assert outcomes == {True, False}
 
+    @staticmethod
+    def aut(f):
+        codes = [x for x, v in enumerate(f.values) if v]
+        return search._canonical(f.n, codes, _scaled_ints([f.values[x] for x in codes])[0])[1]
+
+    def test_aut_matches_the_stabiliser_oracle_on_blueprints(self):
+        functions = {build(bp) for n in range(1, 6) for i in range(n + 1) for j in range(i, n + 1)
+                     for bp in enumerate_blueprints(n, i, j)}
+        assert len(functions) == 75
+        for f in functions:
+            assert self.aut(f) == naive_stabiliser_order(f), f
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "constant"])
+    def test_aut_matches_the_stabiliser_oracle_on_random_tables(self, rng, kind):
+        for n in [*range(5)] * 10:
+            size = 1 << n
+            if kind == "sparse":
+                vals = [0] * size
+                for x in rng.sample(range(size), rng.randint(1, min(4, size))):
+                    vals[x] = rng.choice([-2, -1, 1, 1, 2])
+            elif kind == "dense":
+                vals = [rng.choice([-1, 1, 2, Fraction(1, 3)]) for _ in range(size)]
+            else:
+                vals = [rng.choice([-3, 1, Fraction(5, 2)])] * size
+            f = make_function(n, vals)
+            assert self.aut(f) == naive_stabiliser_order(f), f
+
     @pytest.mark.parametrize("n,i,j,witnesses,classes", [
         (6, 2, 6, 301, 9),
         (7, 2, 7, 966, 12),
@@ -499,10 +542,8 @@ class TestCanonicalForm:
     def test_witnesses_above_n5_give_the_blueprint_forms(self, n, i, j, witnesses, classes):
         rows, size, supports, _ = search._scan_supports(n, i, j, True, "extended")
         assert size == max(1 << i, 1 << (n - j)) and len(supports) == witnesses
-        notes = []
-        forms = {canonical_form(search._function(n, supp, search._witness(rows, supp, notes))).values
+        forms = {canonical_form(search._function(n, supp, search._witness(rows, supp))).values
                  for supp in supports}
-        assert notes == []
         blueprint_forms = [canonical_form(build(bp)).values for bp in enumerate_blueprints(n, i, j)]
         assert len(set(blueprint_forms)) == len(blueprint_forms) == classes
         assert forms == set(blueprint_forms)
@@ -676,6 +717,26 @@ class TestVerifyClassification:
         assert report.ok
         assert not any("kernel dimension" in note for note in report.notes)
 
+    @pytest.mark.parametrize("n,i,j", SMALL_BANDS)
+    def test_every_minimal_support_carries_one_function(self, n, i, j):
+        # a minimal dependent support is a circuit, so its kernel is one line
+        rows, _, supports, _ = search._scan_supports(n, i, j, False, "extended")
+        assert all(len(_kernel_basis(rows, supp)) == 1 for supp in supports)
+
+    @pytest.mark.parametrize("n,i,j", SMALL_BANDS + [
+        pytest.param(*band, marks=pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for bound 8"))
+        for band in [(5, i, j) for i in range(4) for j in range(i, 6) if max(1 << i, 1 << 5 - j) == 8]
+    ])
+    def test_per_witness_fallback_gives_the_same_report(self, monkeypatch, n, i, j):
+        fast = verify_classification(n, i, j)
+        calls = []
+        kernel_basis = search._kernel_basis
+        monkeypatch.setattr(search, "_kernel_basis", lambda *args: calls.append(args) or kernel_basis(*args))
+        monkeypatch.setattr(search, "_levels", lambda table: frozenset({-1}))  # fails check (a)
+        slow = verify_classification(n, i, j)
+        assert len(calls) == len(search._scan_supports(n, i, j, False, "extended")[2])
+        assert dataclasses.replace(slow, elapsed=None) == dataclasses.replace(fast, elapsed=None)
+
     @pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-16 and -32 bands")
     @pytest.mark.parametrize("i,j", [(0, 0), (5, 5), (1, 1), (4, 4), (0, 1), (4, 5)])
     def test_n5_bands_with_bound_16_or_32(self, i, j):
@@ -688,8 +749,9 @@ class TestVerifyClassification:
         with pytest.raises(ValueError, match=r"beyond n=5 needs extended=True"):
             verify_classification(6, 2, 4)
 
-    # Canonical forms pack one byte per support vertex, so the lift stops
-    # at n = 8, before any constraint row is built.
+    # On a dense input the full-group sweep is up to n! arrangements times
+    # 2^n translations, so the lift stops at n = 8, before any constraint
+    # row is built.
     @pytest.mark.parametrize("n", [9, 25])
     def test_lifted_gate_refuses_n_above_the_canonical_limit(self, no_scan, n):
         with pytest.raises(ValueError, match=re.escape(f"n must be an int in [0, 8], got {n}")):
@@ -704,7 +766,10 @@ class TestVerifyClassification:
 
     # Band [2, 3] at n = 4 has two classes, matched by blueprints
     # a = ((), (2, 2), 0) at class 1 and b = ((1,), (2,), 1) at class 0;
-    # c = ((1, 1), (), 2) from band [2, 4] lies outside the band.
+    # c = ((1, 1), (), 2) from band [2, 4] lies outside the band.  So do
+    # u = UPPER ((1,), (2,), 1), with levels {1, 2}, and e = ((1, 1), (2,), 0),
+    # with level 3 but support 8; their orbit counts 12 and 3 equal b's and
+    # a's, so only check (a) keeps them off the orbit-count path.
     @pytest.mark.parametrize("pick,notes,indices", [
         ("a", ("2 search classes vs 1 blueprints",), [1]),
         ("abb", ("distinct blueprints collided in canonical form",
@@ -713,10 +778,13 @@ class TestVerifyClassification:
         ("caa", ("blueprint LOWER odd=(1, 1) even=() r=2 matches no search class",
                  "distinct blueprints collided in canonical form",
                  "2 search classes vs 3 blueprints"), [None, 1, 1]),
-    ], ids=["dropped", "duplicated", "foreign", "all-three"])
+        ("au", ("blueprint UPPER odd=(1,) even=(2,) r=1 matches no search class",), [1, None]),
+        ("eb", ("blueprint LOWER odd=(1, 1) even=(2,) r=0 matches no search class",), [None, 0]),
+    ], ids=["dropped", "duplicated", "foreign", "all-three", "out-of-band", "oversized"])
     def test_blueprint_mismatch_notes(self, monkeypatch, pick, notes, indices):
         a, b = enumerate_blueprints(4, 2, 3)
-        named = {"a": a, "b": b, "c": enumerate_blueprints(4, 2, 4)[2]}
+        named = {"a": a, "b": b, "c": enumerate_blueprints(4, 2, 4)[2],
+                 "u": Blueprint(UPPER, (1,), (2,), 1, 4), "e": Blueprint(LOWER, (1, 1), (2,), 0, 4)}
         assert named["c"].odd_parts == (1, 1) and named["c"].remainder == 2
         monkeypatch.setattr(search, "enumerate_blueprints", lambda n, i, j: [named[k] for k in pick])
         report = verify_classification(4, 2, 3)
