@@ -40,6 +40,17 @@ def no_scan(monkeypatch):
     monkeypatch.setattr(search, "_rows", rows)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The argument tuples of every search._kernel_basis call made after the fixture starts."""
+    from cubespec import search
+
+    calls = []
+    kernel_basis = search._kernel_basis
+    monkeypatch.setattr(search, "_kernel_basis", lambda *args: calls.append(args) or kernel_basis(*args))
+    return calls
+
+
 def random_function(rng, n, lo=-5, hi=5):
     """Random integer-valued function, guaranteed nonzero."""
     vals = [rng.randrange(lo, hi + 1) for _ in range(1 << n)]

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from cubespec import cli, search
+from cubespec import cli
 
 GOLDEN = Path(__file__).with_name("golden_classes.json")
 GOLDEN_EXACT = Path(__file__).with_name("golden_exact_spectrum.json")
@@ -96,13 +96,10 @@ def _extended(bands: list, what: str) -> list:
 
 @pytest.mark.parametrize("band", BANDS + _extended(BOUND_8_BANDS, "n=5 bound-8 bands")
                          + _extended(N8_BANDS, "n=8 bands"), ids=lambda b: "n{}_{}_{}".format(*b))
-def test_class_table_matches_golden(monkeypatch, band):
-    calls = []
-    kernel_basis = search._kernel_basis
-    monkeypatch.setattr(search, "_kernel_basis", lambda *args: calls.append(args) or kernel_basis(*args))
+def test_class_table_matches_golden(kernel_calls, band):
     assert classification_record(*band) == _golden()[band]
     # the blueprints' orbit counts cover every minimal support: only the witness takes a kernel
-    assert len(calls) == 1
+    assert len(kernel_calls) == 1
 
 
 def test_golden_covers_every_band():

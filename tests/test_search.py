@@ -727,14 +727,13 @@ class TestVerifyClassification:
         pytest.param(*band, marks=pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for bound 8"))
         for band in [(5, i, j) for i in range(4) for j in range(i, 6) if max(1 << i, 1 << 5 - j) == 8]
     ])
-    def test_per_witness_fallback_gives_the_same_report(self, monkeypatch, n, i, j):
+    def test_per_witness_fallback_gives_the_same_report(self, monkeypatch, kernel_calls, n, i, j):
         fast = verify_classification(n, i, j)
-        calls = []
-        kernel_basis = search._kernel_basis
-        monkeypatch.setattr(search, "_kernel_basis", lambda *args: calls.append(args) or kernel_basis(*args))
+        assert len(kernel_calls) == 1
+        kernel_calls.clear()
         monkeypatch.setattr(search, "_levels", lambda table: frozenset({-1}))  # fails check (a)
         slow = verify_classification(n, i, j)
-        assert len(calls) == len(search._scan_supports(n, i, j, False, "extended")[2])
+        assert len(kernel_calls) == len(search._scan_supports(n, i, j, False, "extended")[2])
         assert dataclasses.replace(slow, elapsed=None) == dataclasses.replace(fast, elapsed=None)
 
     @pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-16 and -32 bands")
