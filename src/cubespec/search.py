@@ -360,9 +360,9 @@ def _canonical(n, codes, ints) -> tuple[list[int], int]:
             aut += table == best
         return top
 
-    moved = [x ^ codes[0] for x in codes]
-    _arrangement_walk(n, moved, compare)
-    for m in Counter(tuple(t >> c & 1 for t in moved) for c in range(n)).values():
+    shifted = [x ^ codes[0] for x in codes]
+    _arrangement_walk(n, shifted, compare)
+    for m in Counter(tuple(t >> c & 1 for t in shifted) for c in range(n)).values():
         aut *= math.factorial(m)
     return best, aut
 
