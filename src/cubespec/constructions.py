@@ -13,6 +13,7 @@ psi on the odd parts instead and achieve support 2^(n-j).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,6 +103,17 @@ class Blueprint:
             return self.k + self.ell, self.n - self.ell
         return self.ell, self.n - self.k - self.ell
 
+    @property
+    def placements(self) -> int:
+        """The supports through 0 of build(self)'s images under the automorphisms of H(n).
+        The blocks' all-ones vectors span the support, so these are the splits of the n
+        coordinates into the blocks and the remainder: n! / (r! * prod_k m_k! (k!)^m_k)."""
+        parts = self.odd_parts + self.even_parts
+        count = math.factorial(self.n) // math.factorial(self.remainder)
+        for k in set(parts):  # m_k parts of size k; each quotient is exact
+            count //= math.factorial(parts.count(k)) * math.factorial(k) ** parts.count(k)
+        return count
+
 
 def build(bp: Blueprint) -> VertexFunction:
     """Materialize the blueprint's tensor product, odd parts in the low bits.
@@ -110,6 +122,7 @@ def build(bp: Blueprint) -> VertexFunction:
     point mass last) so output tables are reproducible; any other order is
     equivalent under a coordinate permutation.
     """
+    _check_int("dimension", bp.n, 0, MAX_DIMENSION)  # before any block is built
     odd_block = phi if bp.case == LOWER else psi
     f = point_mass(0)
     for p in bp.odd_parts:
@@ -132,12 +145,12 @@ def blueprint_spectrum(bp: Blueprint) -> SpectrumSet:
 
 def _part_multisets(count: int, odd: bool, max_total: int, max_part: int):
     """Yield descending tuples of `count` parts of one parity, sum <= max_total."""
-    if count == 0:
-        yield ()
-        return
     min_part = 1 if odd else 2
     first = min(max_part, max_total - min_part * (count - 1))
     first -= (first + odd) % 2  # the largest part of the right parity
+    if count == 0 or first == min_part:  # one tuple, not one recursion per part
+        yield (min_part,) * count
+        return
     for p in range(first, min_part - 1, -2):
         for rest in _part_multisets(count - 1, odd, max_total - p, p):
             yield (p,) + rest

@@ -10,8 +10,8 @@ support is a circuit and carries one function up to scale, so the
 blueprints are every class exactly when each lies in the band with the
 minimal support, their canonical forms under the full automorphism group
 (coordinate permutations composed with translations, plus scaling) are
-distinct, and the sum of n! * size / |Aut| over them equals the number of
-minimal supports through 0.  Only when that fails are the supports'
+distinct, and their orbits' minimal supports through 0 (Blueprint.placements)
+sum to the number found.  Only when that fails are the supports'
 witnesses canonicalised one by one.
 
 The support scan and the kernel extraction share one elimination engine,
@@ -32,8 +32,7 @@ arrangements of the coordinates' columns over the support depth first,
 from the top bit down, and cut every prefix whose placed bits already
 fix a first support vertex earlier than the best image's, the
 search-tree pruning of B. D. McKay, A. Piperno, "Practical graph
-isomorphism, II", J. Symbolic Comput. 60, 2014; the tied leaves it
-visits give |Aut|.
+isomorphism, II", J. Symbolic Comput. 60, 2014.
 
 Scans are restricted to supports containing vertex 0, which is harmless:
 translating a function multiplies each Fourier coefficient by +-1, so band
@@ -44,11 +43,10 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from .constructions import Blueprint, build, enumerate_blueprints
-from .functions import MAX_DIMENSION, VertexFunction, _check_int, _fractions, _scaled_ints
+from .functions import MAX_DIMENSION, VertexFunction, _check_int, _fractions, _scaled_ints, support_size
 from .spectral import SpectrumSet, _check_band, _levels
 
 EXHAUSTIVE_LIMIT = 5
@@ -328,8 +326,8 @@ def _arrangement_walk(n, codes, on_leaf):
     visit(columns, 0, 0, [sum(1 << s for s in lanes)])
 
 
-def _canonical(n, codes, ints) -> tuple[list[int], int]:
-    """The least image of f under the automorphisms of H(n), as an int table, and |Aut f|.
+def _canonical(n, codes, ints) -> list[int]:
+    """The least image of f under the automorphisms of H(n), as an int table.
 
     f has support codes and values ints, integers on one scale.  An image
     led by value u holds v * (L // u) at each vertex, L the lcm of the |v|:
@@ -341,30 +339,23 @@ def _canonical(n, codes, ints) -> tuple[list[int], int]:
     smaller table, so only the translations that reach an arrangement's
     max-min are compared, and the walk cuts every prefix whose max-min
     falls below the best table's.  Returns that table, L times the class
-    representative, whose first nonzero entry is L, and the number of
-    automorphisms that map f to a multiple of itself: the (leaf,
-    translation) pairs whose table equals the best, times m! for each m
-    equal columns, which swap among themselves at every leaf.
+    representative, whose first nonzero entry is L.
     """
     scale = math.lcm(*{abs(v) for v in ints})
     by_lead = {u: [v * (scale // u) for v in ints] for u in set(ints)}  # [k]: ints[k] / u * scale
-    best, aut = None, 0
+    best = None
 
     def compare(moved, top, leads):
-        nonlocal best, aut
+        nonlocal best
         for k in leads:
             w = moved[k] ^ top
             table = _table(n, [t ^ w for t in moved], by_lead[ints[k]])
             if best is None or table < best:
-                best, aut = table, 0
-            aut += table == best
+                best = table
         return top
 
-    shifted = [x ^ codes[0] for x in codes]
-    _arrangement_walk(n, shifted, compare)
-    for m in Counter(tuple(t >> c & 1 for t in shifted) for c in range(n)).values():
-        aut *= math.factorial(m)
-    return best, aut
+    _arrangement_walk(n, [x ^ codes[0] for x in codes], compare)
+    return best
 
 
 def _unit_lead(n, table) -> VertexFunction:
@@ -390,7 +381,7 @@ def canonical_form(f: VertexFunction) -> VertexFunction:
     codes = [x for x, v in enumerate(f.values) if v]
     if not codes:
         raise ValueError("canonical_form needs a nonzero function")
-    return _unit_lead(n, _canonical(n, codes, _scaled_ints([f.values[x] for x in codes])[0])[0])
+    return _unit_lead(n, _canonical(n, codes, _scaled_ints([f.values[x] for x in codes])[0]))
 
 
 def equivalent(f: VertexFunction, g: VertexFunction) -> bool:
@@ -514,13 +505,13 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     Collects every minimal-size feasible support through vertex 0.  The
     blueprints are the classes when (a) each is in the band, by its levels,
     with support exactly the minimum, (b) their canonical forms are
-    distinct and (c) their orbit counts n! * size / |Aut| sum to the number
-    of supports found (module docstring); then only the reported witness
-    takes a kernel.  Otherwise the fallback dedupes a kernel witness of
-    every support by canonical form.  ok is True only when the minimum
-    equals the sharp bound and the match is a bijection with no extras and
-    no misses.  Refuses n beyond the exhaustive limit unless extended is
-    set, and beyond CANONICAL_LIMIT always.
+    distinct and (c) their placements sum to the number of supports found
+    (module docstring); then only the reported witness takes a kernel.
+    Otherwise the fallback dedupes a kernel witness of every support by
+    canonical form.  ok is True only when the minimum equals the sharp
+    bound and the match is a bijection with no extras and no misses.
+    Refuses n beyond the exhaustive limit unless extended is set, and
+    beyond CANONICAL_LIMIT always.
     """
     start = time.perf_counter()
     rows, size, supports, nodes = _scan_supports(n, i, j, extended, "extended", CANONICAL_LIMIT)
@@ -529,22 +520,18 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     if size != expected:
         notes.append(f"minimum support {size} differs from the sharp bound {expected}")
     bps = enumerate_blueprints(n, i, j)
-    forms, orbits, in_band = [], 0, True
-    for bp in bps:
-        table = _scaled_ints(build(bp).values)[0]
-        codes = [x for x, v in enumerate(table) if v]
-        form, aut = _canonical(n, codes, [table[x] for x in codes])
-        forms.append(_unit_lead(n, form))
-        orbits += math.factorial(n) * size // aut
-        in_band = in_band and len(codes) == size and _levels(table) <= frozenset(range(i, j + 1))
+    built = [build(bp) for bp in bps]
+    forms = [canonical_form(f) for f in built]
+    band = frozenset(range(i, j + 1))
+    in_band = all(support_size(f) == size and _levels(_scaled_ints(f.values)[0]) <= band for f in built)
     bp_values = [f.values for f in forms]
     distinct = len(set(bp_values)) == len(bp_values)
-    if in_band and distinct and orbits == len(supports):
+    if in_band and distinct and sum(bp.placements for bp in bps) == len(supports):
         classes, witness = forms, _witness(rows, supports[0])
     else:
         witnesses = [_witness(rows, supp) for supp in supports]
         # a class holds primitive vectors of one multiset of |v|, so one table
-        tables = {tuple(_canonical(n, supp, w)[0]) for supp, w in zip(supports, witnesses)}
+        tables = {tuple(_canonical(n, supp, w)) for supp, w in zip(supports, witnesses)}
         classes, witness = [_unit_lead(n, t) for t in tables], witnesses[0]
     classes = tuple(sorted(classes, key=lambda c: c.values))
     class_index = {c.values: idx for idx, c in enumerate(classes)}

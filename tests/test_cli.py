@@ -90,6 +90,17 @@ def test_enumerate_and_build_optimal(tmp_path, capsys):
     assert json.loads(err)["kind"] == "contract"
 
 
+def test_enumerate_far_above_the_dimension_cap(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "1500", "--i", "0", "--j", "0")
+    assert (code, err) == (0, "")
+    (entry,) = json.loads(out)
+    assert entry["odd"] == [1] * 1500 and entry["support_size"] == 1 << 1500
+    for n in ("25", "1500"):
+        code, out, err = run(capsys, "build-optimal", "--n", n, "--i", "0", "--j", "0")
+        assert_contract_error(code, out, err)
+        assert json.loads(err)["error"] == f"dimension must be an int in [0, 24], got {n}"
+
+
 def test_project_and_in_band_and_eigen_check(tmp_path, capsys):
     path = write_function(tmp_path, "f.json", phi(3))
     code, out, _ = run(capsys, "project", "--level", "1", "--input", path)

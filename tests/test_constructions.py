@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubespec import constructions
 from cubespec import (
     LOWER,
     UPPER,
@@ -112,6 +113,13 @@ class TestBuild:
     def test_flat_block_case(self):
         bp = Blueprint(UPPER, (3,), (), 0, 3)
         assert build(bp).values == psi(3).values
+
+    def test_dimension_is_checked_before_any_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(constructions, "tensor", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"^dimension must be an int in \[0, 24\], got 25$"):
+            build(Blueprint(UPPER, (1,) * 25, (), 0, 25))
+        assert calls == []
 
     def test_support_size_matches_block_count(self):
         for n in range(1, 7):

@@ -29,7 +29,6 @@ from cubespec import (
     verify_classification,
 )
 from cubespec import search
-from cubespec.functions import _scaled_ints
 from cubespec.search import _kernel_basis
 from conftest import mixed_table
 from oracles import (
@@ -493,7 +492,7 @@ class TestCanonicalForm:
                       (n, *self.moved(n, codes, vec, perm, rng.randrange(1 << n)))]
         results = []
         for n, codes, vec in cases:
-            table, _ = search._canonical(n, codes, vec)
+            table = search._canonical(n, codes, vec)
             values = [0] * (1 << n)
             for x, v in zip(codes, vec):
                 values[x] = v
@@ -508,32 +507,14 @@ class TestCanonicalForm:
                 outcomes.add(form == other_form)
         assert outcomes == {True, False}
 
-    @staticmethod
-    def aut(f):
-        codes = [x for x, v in enumerate(f.values) if v]
-        return search._canonical(f.n, codes, _scaled_ints([f.values[x] for x in codes])[0])[1]
-
     def test_aut_matches_the_stabiliser_oracle_on_blueprints(self):
-        functions = {build(bp) for n in range(1, 6) for i in range(n + 1) for j in range(i, n + 1)
-                     for bp in enumerate_blueprints(n, i, j)}
-        assert len(functions) == 75
-        for f in functions:
-            assert self.aut(f) == naive_stabiliser_order(f), f
-
-    @pytest.mark.parametrize("kind", ["sparse", "dense", "constant"])
-    def test_aut_matches_the_stabiliser_oracle_on_random_tables(self, rng, kind):
-        for n in [*range(5)] * 10:
-            size = 1 << n
-            if kind == "sparse":
-                vals = [0] * size
-                for x in rng.sample(range(size), rng.randint(1, min(4, size))):
-                    vals[x] = rng.choice([-2, -1, 1, 1, 2])
-            elif kind == "dense":
-                vals = [rng.choice([-1, 1, 2, Fraction(1, 3)]) for _ in range(size)]
-            else:
-                vals = [rng.choice([-3, 1, Fraction(5, 2)])] * size
-            f = make_function(n, vals)
-            assert self.aut(f) == naive_stabiliser_order(f), f
+        # orbit-stabiliser: a class of 2^n * n! / |Stab| functions, each on B
+        # vertices, has n! * B / |Stab| supports through 0
+        blueprints = {build(bp): bp for n in range(1, 6) for i in range(n + 1) for j in range(i, n + 1)
+                      for bp in enumerate_blueprints(n, i, j)}
+        assert len(blueprints) == 75
+        for f, bp in blueprints.items():
+            assert bp.placements * naive_stabiliser_order(f) == math.factorial(f.n) * bp.support_size, bp
 
     @pytest.mark.parametrize("n,i,j,witnesses,classes", [
         (6, 2, 6, 301, 9),
@@ -723,6 +704,14 @@ class TestVerifyClassification:
         rows, _, supports, _ = search._scan_supports(n, i, j, False, "extended")
         assert all(len(_kernel_basis(rows, supp)) == 1 for supp in supports)
 
+    # minimal supports through 0 counted by the extended scan (n = 6 and 7 also
+    # by test_witnesses_above_n5_give_the_blueprint_forms); no scan runs here
+    @pytest.mark.parametrize("n,i,j,supports", [
+        (6, 2, 6, 301), (7, 2, 7, 966), (8, 2, 8, 3025), (8, 2, 6, 693), (9, 2, 9, 9330), (9, 2, 7, 2205),
+    ])
+    def test_placements_sum_to_the_measured_support_counts(self, n, i, j, supports):
+        assert sum(bp.placements for bp in enumerate_blueprints(n, i, j)) == supports
+
     @pytest.mark.parametrize("n,i,j", SMALL_BANDS + [
         pytest.param(*band, marks=pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for bound 8"))
         for band in [(5, i, j) for i in range(4) for j in range(i, 6) if max(1 << i, 1 << 5 - j) == 8]
@@ -765,10 +754,11 @@ class TestVerifyClassification:
 
     # Band [2, 3] at n = 4 has two classes, matched by blueprints
     # a = ((), (2, 2), 0) at class 1 and b = ((1,), (2,), 1) at class 0;
-    # c = ((1, 1), (), 2) from band [2, 4] lies outside the band.  So do
-    # u = UPPER ((1,), (2,), 1), with levels {1, 2}, and e = ((1, 1), (2,), 0),
-    # with level 3 but support 8; their orbit counts 12 and 3 equal b's and
-    # a's, so only check (a) keeps them off the orbit-count path.
+    # c = ((1, 1), (), 2) from band [2, 4] lies outside the band.  So does
+    # u = UPPER ((1,), (2,), 1), with levels {1, 2}, whose 12 placements equal
+    # b's, so only check (a) keeps it off the orbit-count path.  e = ((1, 1),
+    # (2,), 0) has level 3 but support 8, and 6 placements against a's 3, so
+    # checks (a) and (c) both fail; test_oversized_blueprint_alone isolates size.
     @pytest.mark.parametrize("pick,notes,indices", [
         ("a", ("2 search classes vs 1 blueprints",), [1]),
         ("abb", ("distinct blueprints collided in canonical form",
@@ -792,3 +782,15 @@ class TestVerifyClassification:
         assert [idx for _, idx in report.matched_blueprints] == indices
         assert [bp for bp, _ in report.matched_blueprints] == [named[k] for k in pick]
         assert len(report.classes_found) == 2 and report.min_support == 4
+
+    def test_oversized_blueprint_alone(self, monkeypatch, kernel_calls):
+        # band [0, 2] at n = 3: UPPER ((1,), (2,), 0) has support 4 against the
+        # minimum 2 but levels {1} and the 3 placements of ((), (2,), 1), which it replaces
+        bps = enumerate_blueprints(3, 0, 2)
+        oversized = Blueprint(UPPER, (1,), (2,), 0, 3)
+        assert bps[0] == Blueprint(UPPER, (), (2,), 1, 3) and bps[0].placements == oversized.placements == 3
+        monkeypatch.setattr(search, "enumerate_blueprints", lambda n, i, j: [oversized, *bps[1:]])
+        report = verify_classification(3, 0, 2)
+        assert report.ok is False and report.min_support == 2
+        assert report.notes == ("blueprint UPPER odd=(1,) even=(2,) r=0 matches no search class",)
+        assert len(kernel_calls) == len(search._scan_supports(3, 0, 2, False, "extended")[2])
