@@ -24,7 +24,8 @@ matrix, so Hadamard's bound k^(k/2) on a minor of size k fixes a lane
 width that no entry outgrows; the division is exact lane by lane, and
 since a packed column is linear in its lanes, it is exact on the whole int
 even where the product overflowed a lane.  A zero test is `not column`.
-The scan counts, not visits, children whose subtrees hold no dependence.
+The scan counts, not visits, children whose subtrees hold no dependence,
+and a child inherits its independent suffix from its parent's chain.
 Kernel vectors, their combinations and their level tests stay Python
 ints; Fractions are built only for the VertexFunctions handed back.
 Canonical forms compare integer tables too.  They walk the distinct
@@ -137,11 +138,21 @@ def _lone(cols, width, bias):
     return {k for k in last.values() if k > last.get(0, -1)}
 
 
-def _independent_from(cols, d, width, bias):
-    """The least free with cols[free:] independent: Bareiss steps from the back of cols."""
+def _chain(cols, d, width, bias):
+    """Bareiss steps from the back of cols until one reduces to 0: (free, gone).
+
+    cols[free:] is independent, and gone[k] = m - k for the pivot m whose step
+    took cols[k] to 0, None if none did: the child through cols[k] has suffix
+    cols[m + 1:], as cols[m] is then in span(cols[k], cols[m + 1:]) (exchange).
+    """
+    gone = [None] * len(cols)
     while cols and cols[-1]:
-        d, cols = _bareiss_step(cols[:-1], cols[-1], d, width, bias)
-    return len(cols)
+        d, step = _bareiss_step(cols[:-1], cols[-1], d, width, bias)
+        if step.count(0) > cols.count(0):
+            for k in [k for k, r in enumerate(step) if not r and cols[k]]:
+                gone[k] = len(step) - k
+        cols = step
+    return len(cols), gone
 
 
 def _dfs(n, rows, cap, on_dependent):
@@ -157,19 +168,23 @@ def _dfs(n, rows, cap, on_dependent):
     (0 once dependent), so a child costs one _bareiss_step.  A child with
     no dependent support below it is counted with its subtree, the sets of
     later candidates under the bound: two or more below the bound, children
-    in the independent suffix (_independent_from, up to len(rows) pivots
-    whatever cap is, so lanes hold minors that large); one below, children
-    no later candidate depends on (_lone).  Returns (nodes, bound).
+    in the independent suffix (_chain, up to len(rows) pivots whatever cap
+    is, so lanes hold minors that large; run only at the root and at nodes
+    three or more below the bound, whose children inherit it); one below,
+    children no later candidate depends on (_lone).  Returns (nodes, bound).
     """
     if not rows:
         return 1, on_dependent((0,), cap)
     width, bias = _lanes(len(rows), len(rows))
     nodes, bound = 1, cap
 
-    def visit(supp, verts, cols, d):
+    def visit(supp, verts, cols, d, free=None, gone=None):
         nonlocal nodes, bound
         child = len(supp) + 1
-        free = _independent_from(cols, d, width, bias) if child + 1 < bound else len(cols)
+        if child + 1 >= bound:
+            free, gone = len(cols), None
+        elif free is None or gone is None and child + 2 < bound:
+            free, gone = _chain(cols, d, width, bias)
         lone = _lone(cols, width, bias) if child + 1 == bound else ()
         for k, r in enumerate(cols[:free]):
             if child > bound:
@@ -179,12 +194,12 @@ def _dfs(n, rows, cap, on_dependent):
             if not r:
                 bound = on_dependent(ns, bound)
                 if child < bound:
-                    visit(ns, verts[k + 1:], cols[k + 1:], d)
+                    visit(ns, verts[k + 1:], cols[k + 1:], d, gone and free - k - 1, gone and gone[k + 1:])
             elif child < bound and k in lone:
                 nodes += len(cols) - k - 1
             elif child < bound:
                 bp, rest = _bareiss_step(cols[k + 1:], r, d, width, bias)
-                visit(ns, verts[k + 1:], rest, bp)
+                visit(ns, verts[k + 1:], rest, bp, gone and (gone[k] or free - k - 1))
         nodes += sum(math.comb(len(cols) - free, t) for t in range(1, bound - len(supp) + 1))
 
     root, *cols = _packed_columns(rows, range(1 << n), width)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -107,13 +108,18 @@ class TestMinSupport:
     # 2^(n-1), met first by the hyperplane x_n = 0 at the end of the
     # leftmost path; after it every support through 0 of size at most
     # 2^(n-1) is examined, half of all subsets of the other 2^n - 1
-    # vertices: 2^(2^n - 2) nodes.
+    # vertices: 2^(2^n - 2) nodes.  The two n = 5 bands with bound 16 have
+    # no such closed form; their counts are pinned as measured, since a
+    # faster scan must examine the same nodes.
     @pytest.mark.parametrize("n,i,j,nodes", [
         *((n, i, i, 2 ** (2**n - 1)) for n in range(1, 6) for i in (0, n)),
         *((n, i, i + 1, 2 ** (2**n - 2)) for n in range(2, 5) for i in (0, n - 1)),
         *(pytest.param(5, i, i + 1, 2**30, marks=pytest.mark.skipif(
             not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the 2^30-node n=5 scans"))
           for i in (0, 4)),
+        *(pytest.param(5, i, i, 1_076_985_435, marks=pytest.mark.skipif(
+            not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-16 scans"))
+          for i in (1, 4)),
     ])
     def test_nodes_examined_where_the_count_is_known(self, n, i, j, nodes):
         report = min_support(n, i, j)
@@ -258,7 +264,8 @@ class TestDfs:
             min(bound, len(supp) - supp[-1] % 2) if sum(supp) % 5 == 0 else bound),
     }
 
-    def test_counted_scan_matches_a_plain_walk(self, rng, monkeypatch):
+    @staticmethod
+    def counted_cases(rng):
         # Capped cases with more rows than the cap: the independent suffix
         # then takes more pivots than any support under the cap has.
         cases = [(4, [u for u in range(16) if u.bit_count() != 2], 4),
@@ -267,22 +274,25 @@ class TestDfs:
         cases += [(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)), rng.randint(2, 1 << n))
                   for n in (1, 2, 3) for _ in range(12)]
         cases += [(4, rng.sample(range(16), rng.randint(cap + 1, 16)), cap) for cap in (4, 5)]
+        return cases
+
+    def test_counted_scan_matches_a_plain_walk(self, rng, monkeypatch):
         shortcuts = Counter()  # children the scan counts without visiting them
-        free, lone = search._independent_from, search._lone
+        chain, lone = search._chain, search._lone
 
         def suffix(cols, *args):
-            k = free(cols, *args)
-            shortcuts["suffix"] += len(cols) - k
-            return k
+            free, gone = chain(cols, *args)
+            shortcuts["suffix"] += len(cols) - free
+            return free, gone
 
         def lone_children(*args):
             ks = lone(*args)
             shortcuts["lone"] += len(ks)
             return ks
 
-        monkeypatch.setattr(search, "_independent_from", suffix)
+        monkeypatch.setattr(search, "_chain", suffix)
         monkeypatch.setattr(search, "_lone", lone_children)
-        for n, rows, cap in cases:
+        for n, rows, cap in self.counted_cases(rng):
             @cache
             def rank(supp):
                 return fraction_rank([[sign(u, x) for x in supp] for u in rows])
@@ -297,6 +307,35 @@ class TestDfs:
                     n, rows, cap, seen(want), rank), (n, rows, cap, name)
                 assert got == want, (n, rows, cap, name)
         assert shortcuts["suffix"] and shortcuts["lone"]
+
+    def test_inherited_suffix_matches_a_fresh_chain(self, rng):
+        # A node that inherits free (and, below a dependent support, gone)
+        # from its parent must hold what its own _chain would find.  The
+        # profiler sees each call of _dfs's inner visit with its arguments
+        # and the lanes it closes over.
+        inherited = Counter()
+
+        def check(frame, event, arg):
+            code = frame.f_code
+            if event != "call" or code.co_name != "visit" or code.co_filename != search.__file__:
+                return
+            at = frame.f_locals
+            if at["free"] is None:
+                return
+            free, gone = search._chain(at["cols"], at["d"], at["width"], at["bias"])
+            assert at["free"] == free, (at["supp"], at["bound"])
+            if at["gone"] is not None:
+                assert at["gone"] == gone, (at["supp"], at["bound"])
+            inherited["walked" if at["gone"] is None else "below a dependent support"] += 1
+
+        for n, rows, cap in self.counted_cases(rng):
+            for hook in self.HOOKS.values():
+                sys.setprofile(check)
+                try:
+                    search._dfs(n, rows, cap, hook)
+                finally:
+                    sys.setprofile(None)
+        assert inherited["walked"] and inherited["below a dependent support"], inherited
 
     @pytest.mark.parametrize("n,cap", [(0, 1), (3, 8), (3, 0)])
     def test_no_rows_hands_the_point_mass_to_the_hook(self, n, cap):
@@ -727,8 +766,9 @@ class TestVerifyClassification:
 
     @pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-16 and -32 bands")
     @pytest.mark.parametrize("i,j", [(0, 0), (5, 5), (1, 1), (4, 4), (0, 1), (4, 5)])
-    def test_n5_bands_with_bound_16_or_32(self, i, j):
+    def test_n5_bands_with_bound_16_or_32(self, kernel_calls, i, j):
         report = verify_classification(5, i, j)
+        assert len(kernel_calls) == 1  # check (c) held: the orbit-count path ran
         assert report.ok, report.notes
         assert report.min_support == max(1 << i, 1 << 5 - j)
         assert len(report.classes_found) == len(enumerate_blueprints(5, i, j))
