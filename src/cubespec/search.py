@@ -25,7 +25,8 @@ width that no entry outgrows; the division is exact lane by lane, and
 since a packed column is linear in its lanes, it is exact on the whole int
 even where the product overflowed a lane.  A zero test is `not column`.
 The scan counts, not visits, children whose subtrees hold no dependence,
-and a child inherits its independent suffix from its parent's chain.
+a child inherits its independent suffix from its parent's chain, and one
+below the bound the directions of the columns give the dependent supports.
 Kernel vectors, their combinations and their level tests stay Python
 ints; Fractions are built only for the VertexFunctions handed back.
 Canonical forms compare integer tables too.  They walk the distinct
@@ -42,6 +43,7 @@ membership and support size are translation invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -95,16 +97,19 @@ def _lanes(k: int, count: int) -> tuple[int, int]:
 
 
 def _packed_columns(rows, verts, width):
-    """The character columns of verts over rows, row k in the k-th signed lane."""
-    ones = sum(1 << width * k for k in range(len(rows)))
-    return [ones - 2 * sum(1 << width * k for k, u in enumerate(rows) if (u & x).bit_count() & 1)
-            for x in verts]
+    """The character columns of verts over rows, row k in the k-th signed lane.
 
-
-def _lead(q, width, bias):
-    """The value in the lowest nonzero lane of packed column q, and that lane's shift."""
-    shift = ((q & -q).bit_length() - 1) // width * width
-    return ((q + bias) >> shift & (1 << width) - 1) - (1 << width - 1), shift
+    Column x is ones - 2 * odd[x], odd[x] a 1 in the lane of each row u
+    with u & x of odd weight.  Bit b flips the lanes of the rows holding
+    it, so the table doubles per bit: odd[x | 1 << b] = odd[x] ^ flips[b].
+    """
+    lanes = [1 << width * k for k in range(len(rows))]
+    odd = [0]
+    for b in range(max(verts, default=0).bit_length()):
+        flips = sum(lane for lane, u in zip(lanes, rows) if u >> b & 1)
+        odd += [x ^ flips for x in odd]
+    ones = sum(lanes)
+    return [ones - 2 * odd[x] for x in verts]
 
 
 def _bareiss_step(cols, r, d, width, bias):
@@ -121,21 +126,29 @@ def _bareiss_step(cols, r, d, width, bias):
     rescaled, to q * bp / d, so that every column stays at the same step.
     Returns (bp, the reduced columns).
     """
-    bp, shift = _lead(r, width, bias)
     mask, half = (1 << width) - 1, 1 << width - 1
+    shift = ((r & -r).bit_length() - 1) // width * width
+    bp = ((r + bias) >> shift & mask) - half
     return bp, [q and (q * bp - r * (((q + bias) >> shift & mask) - half)) // d for q in cols]
 
 
-def _lone(cols, width, bias):
-    """The k with no column after cols[k] that is 0 or a multiple of it.
+def _partners(cols, width, bias):
+    """{k: the later m with cols[m] 0 or a multiple of cols[k]}, ascending,
+    over the 0 columns and the k that have such an m.
 
-    Column q with lead v is keyed by q / v in lowest terms; keys agree just
-    when q * v' == q' * v, that is when a _bareiss_step of q' against q gives 0.
+    Column q with lead v is keyed by q * (L / v), L the lcm of the leads:
+    every key leads with L, so keys agree just when q * v' == q' * v, that
+    is when a _bareiss_step of q' against q gives 0.
     """
-    leads = [q and _lead(q, width, bias)[0] for q in cols]
-    gcds = [math.gcd(q, v) if v > 0 else -math.gcd(q, v) for q, v in zip(cols, leads)]
-    last = {q and (q // g, v // g): k for k, (q, v, g) in enumerate(zip(cols, leads, gcds))}
-    return {k for k in last.values() if k > last.get(0, -1)}
+    mask, half = (1 << width) - 1, 1 << width - 1
+    leads = [q and ((q + bias) >> ((q & -q).bit_length() - 1) // width * width & mask) - half for q in cols]
+    scale = functools.reduce(math.lcm, filter(None, leads), 1)
+    keys = [q and q * (scale // v) for q, v in zip(cols, leads)]
+    if all(cols) and len(set(keys)) == len(keys):
+        return {}
+    last = {0: -1} | {key: k for k, key in enumerate(keys)}
+    return {k: [m for m in range(k + 1, len(keys)) if keys[m] in (0, key)]
+            for k, key in enumerate(keys) if not key or k < max(last[key], last[0])}
 
 
 def _chain(cols, d, width, bias):
@@ -171,7 +184,8 @@ def _dfs(n, rows, cap, on_dependent):
     in the independent suffix (_chain, up to len(rows) pivots whatever cap
     is, so lanes hold minors that large; run only at the root and at nodes
     three or more below the bound, whose children inherit it); one below,
-    children no later candidate depends on (_lone).  Returns (nodes, bound).
+    every child but those _partners names, which take no step either: their
+    dependent children are their partners.  Returns (nodes, bound).
     """
     if not rows:
         return 1, on_dependent((0,), cap)
@@ -180,12 +194,34 @@ def _dfs(n, rows, cap, on_dependent):
 
     def visit(supp, verts, cols, d, free=None, gone=None):
         nonlocal nodes, bound
-        child = len(supp) + 1
+        child, size = len(supp) + 1, len(cols)
+        if child + 1 == bound:
+            start = 0
+            for k, later in [*_partners(cols, width, bias).items(), (size, ())]:
+                if child > bound:
+                    return
+                # children start..k-1 have no dependent child: child t is size - t
+                # nodes with its subtree, or 1 once the bound has fallen to child
+                nodes += k - start if child == bound else (k - start) * (2 * size + 1 - start - k) // 2
+                if k == size:
+                    return
+                nodes += 1
+                start, ns = k + 1, supp + (verts[k],)
+                if not cols[k]:
+                    bound = on_dependent(ns, bound)
+                last = k
+                for m in later:
+                    if child + 1 > bound:
+                        break
+                    nodes += m - last
+                    last = m
+                    bound = on_dependent(ns + (verts[m],), bound)
+                if child + 1 <= bound:
+                    nodes += size - 1 - last
         if child + 1 >= bound:
-            free, gone = len(cols), None
+            free, gone = size, None
         elif free is None or gone is None and child + 2 < bound:
             free, gone = _chain(cols, d, width, bias)
-        lone = _lone(cols, width, bias) if child + 1 == bound else ()
         for k, r in enumerate(cols[:free]):
             if child > bound:
                 return
@@ -195,12 +231,11 @@ def _dfs(n, rows, cap, on_dependent):
                 bound = on_dependent(ns, bound)
                 if child < bound:
                     visit(ns, verts[k + 1:], cols[k + 1:], d, gone and free - k - 1, gone and gone[k + 1:])
-            elif child < bound and k in lone:
-                nodes += len(cols) - k - 1
             elif child < bound:
                 bp, rest = _bareiss_step(cols[k + 1:], r, d, width, bias)
                 visit(ns, verts[k + 1:], rest, bp, gone and (gone[k] or free - k - 1))
-        nodes += sum(math.comb(len(cols) - free, t) for t in range(1, bound - len(supp) + 1))
+        if free < size:
+            nodes += sum(math.comb(size - free, t) for t in range(1, bound - len(supp) + 1))
 
     root, *cols = _packed_columns(rows, range(1 << n), width)
     bp, cols = _bareiss_step(cols, root, 1, width, bias)

@@ -145,6 +145,33 @@ class TestParityDuality:
         assert dual.values == parity_twist(min_support(n, i, j).witness).values
 
 
+class TestPackedColumns:
+    @staticmethod
+    def oracle(rows, verts, width):
+        # lane k of column x holds sign(rows[k], x), in two's complement
+        return [sum(sign(u, x) * (1 << width * k) for k, u in enumerate(rows)) for x in verts]
+
+    def test_matches_the_sign_oracle(self, rng):
+        kinds = Counter()
+        for _ in range(400):
+            n = rng.randint(0, 6)
+            rows = rng.sample(range(1 << n), rng.choice([0, rng.randint(0, 1 << n)]))
+            kind = rng.choice(["range", "through 0", "scattered"])
+            if kind == "range":
+                verts = range(1 << n)
+            else:
+                # supports as _kernel_basis gets them, through vertex 0 or not
+                verts = sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
+                verts = [0, *verts[1:]] if kind == "through 0" else verts
+            width = search._lanes(len(rows), len(rows))[0] if rng.random() < 0.5 else rng.randint(2, 9)
+            assert search._packed_columns(rows, verts, width) == self.oracle(rows, verts, width), (rows, verts)
+            kinds[kind, "no rows" if not rows else "rows"] += 1
+        assert len(kinds) == 6, kinds
+
+    def test_no_vertices(self):
+        assert search._packed_columns([1, 2], [], 4) == []
+
+
 class TestKernelBasis:
     @staticmethod
     def check_against_oracle(rows, supp):
@@ -277,21 +304,25 @@ class TestDfs:
         return cases
 
     def test_counted_scan_matches_a_plain_walk(self, rng, monkeypatch):
-        shortcuts = Counter()  # children the scan counts without visiting them
-        chain, lone = search._chain, search._lone
+        # Children the scan resolves without a step: the independent suffix
+        # two or more below the bound, and one below it every child whose
+        # column is not 0, counted in closed form or through its partners.
+        shortcuts = Counter()
+        chain, partners = search._chain, search._partners
 
         def suffix(cols, *args):
             free, gone = chain(cols, *args)
             shortcuts["suffix"] += len(cols) - free
             return free, gone
 
-        def lone_children(*args):
-            ks = lone(*args)
-            shortcuts["lone"] += len(ks)
-            return ks
+        def one_below(cols, *args):
+            walk = partners(cols, *args)
+            shortcuts["with partners"] += sum(map(bool, walk.values()))
+            shortcuts["closed form"] += len(cols) - len(walk)
+            return walk
 
         monkeypatch.setattr(search, "_chain", suffix)
-        monkeypatch.setattr(search, "_lone", lone_children)
+        monkeypatch.setattr(search, "_partners", one_below)
         for n, rows, cap in self.counted_cases(rng):
             @cache
             def rank(supp):
@@ -306,7 +337,7 @@ class TestDfs:
                 assert search._dfs(n, rows, cap, seen(got)) == self.walk(
                     n, rows, cap, seen(want), rank), (n, rows, cap, name)
                 assert got == want, (n, rows, cap, name)
-        assert shortcuts["suffix"] and shortcuts["lone"]
+        assert shortcuts["suffix"] and shortcuts["with partners"] and shortcuts["closed form"], shortcuts
 
     def test_inherited_suffix_matches_a_fresh_chain(self, rng):
         # A node that inherits free (and, below a dependent support, gone)
