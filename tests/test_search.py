@@ -317,7 +317,7 @@ class TestDfs:
 
         def one_below(cols, *args):
             walk = partners(cols, *args)
-            shortcuts["with partners"] += sum(map(bool, walk.values()))
+            shortcuts["with partners"] += sum(1 for k in walk if cols[k])
             shortcuts["closed form"] += len(cols) - len(walk)
             return walk
 
