@@ -90,16 +90,22 @@ class VertexFunction:
             object.__setattr__(self, "values", _fractions(self.values))
 
     def __add__(self, other: "VertexFunction") -> "VertexFunction":
-        self._check_same_cube(other)
-        return VertexFunction(self.n, tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "VertexFunction") -> "VertexFunction":
-        self._check_same_cube(other)
-        return VertexFunction(self.n, tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._entrywise(sub, other)
 
     def scale(self, c) -> "VertexFunction":
         c = as_fraction(c)
-        return VertexFunction(self.n, tuple(c * a for a in self.values))
+        ints, d = _scaled_ints(self.values)
+        return VertexFunction(self.n, _fractions(list(map(c.numerator.__mul__, ints)), d * c.denominator))
+
+    def _entrywise(self, op, other: "VertexFunction") -> "VertexFunction":
+        # both tables scaled to ints over one common denominator
+        self._check_same_cube(other)
+        ints, d = _scaled_ints(self.values + other.values)
+        size = len(self.values)
+        return VertexFunction(self.n, _fractions(list(map(op, ints[:size], ints[size:])), d))
 
     def is_zero(self) -> bool:
         return not any(self.values)
@@ -131,8 +137,9 @@ def constant_function(n: int, c) -> VertexFunction:
 
 def _scaled_ints(values) -> tuple[list[int], int]:
     """Integers c and the lcm d of the denominators, with values[k] == c[k] / d."""
-    d = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (d // v.denominator) for v in values], d
+    ratios = list(map(Fraction.as_integer_ratio, values))
+    d = math.lcm(*{q for _, q in ratios})
+    return [p * (d // q) for p, q in ratios], d
 
 
 def _fractions(ints, d: int = 1) -> tuple[Fraction, ...]:
@@ -198,8 +205,8 @@ def restrict(f: VertexFunction, r: int, k: int) -> VertexFunction:
 
 def parity_twist(f: VertexFunction) -> VertexFunction:
     """Multiply pointwise by (-1)^(weight of the vertex); an involution."""
-    vals = tuple(-v if weight(x) & 1 else v for x, v in enumerate(f.values))
-    return VertexFunction(f.n, vals)
+    ints, d = _scaled_ints(f.values)
+    return VertexFunction(f.n, _fractions([-c if weight(x) & 1 else c for x, c in enumerate(ints)], d))
 
 
 def inner_product(f: VertexFunction, g: VertexFunction) -> Fraction:

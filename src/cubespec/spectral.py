@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .functions import (
     MAX_DIMENSION,
@@ -73,7 +74,7 @@ def eigenvalue_of_level(n: int, i: int) -> int:
 
 def _levels(ints: list[int]) -> frozenset[int]:
     """Weights of the nonzero coefficients of an int table, transformed in place."""
-    return frozenset(u.bit_count() for u, c in enumerate(_butterfly(ints)) if c)
+    return frozenset(map(int.bit_count, compress(range(len(ints)), _butterfly(ints))))
 
 
 def spectrum(f: VertexFunction) -> SpectrumSet:
@@ -89,7 +90,11 @@ def level_project(f: VertexFunction, i: int) -> VertexFunction:
     """
     _check_int("level", i, 0, f.n)
     ints, d = _scaled_ints(f.values)
-    masked = [c if u.bit_count() == i else 0 for u, c in enumerate(_butterfly(ints))]
+    coeffs = _butterfly(ints)
+    masked = [0] * len(coeffs)
+    for u in compress(range(len(coeffs)), coeffs):
+        if u.bit_count() == i:
+            masked[u] = coeffs[u]
     return VertexFunction(f.n, _fractions(_butterfly(masked), d << f.n))
 
 
@@ -103,12 +108,40 @@ def check_eigen_relation(f: VertexFunction, lam: int) -> bool:
     """Direct test of lam * f(x) = sum of f over the n neighbors of x, at every x.
 
     Works straight from the value table, independently of the transform,
-    on the integers of the table scaled by the lcm of its denominators.
+    on the integers of the table scaled by the lcm of its denominators,
+    a quarter of the table at a time.  For each coordinate b the values
+    across b are gathered as one list: a slice of the partner quarter for
+    the top two bits, otherwise the quarter with bit b of every index
+    flipped, copied by 2 * 2^b strided slices while b < n // 2 and by
+    block slices from there on, whichever is fewer.  Those n lists and
+    -lam * f are summed entry by entry, and every sum must be 0.
     """
     _check_int("lambda", lam, None)
     vals, _ = _scaled_ints(f.values)
-    bits = [1 << b for b in range(f.n)]
-    return all(sum(vals[x ^ b] for b in bits) == lam * v for x, v in enumerate(vals))
+    size = len(vals)
+    part_size = max(size >> 2, 1)
+    for start in range(0, size, part_size):
+        part = vals[start:start + part_size]
+        neighbours = []
+        for b in range(f.n):
+            h = 1 << b
+            step = h << 1
+            if h >= part_size:
+                flipped = vals[start ^ h:(start ^ h) + part_size]
+            elif b < f.n // 2:
+                flipped = [0] * part_size
+                for r in range(h):
+                    flipped[r::step] = part[r + h::step]
+                    flipped[r + h::step] = part[r::step]
+            else:
+                flipped = [0] * part_size
+                for s in range(0, part_size, step):
+                    flipped[s:s + h] = part[s + h:s + step]
+                    flipped[s + h:s + step] = part[s:s + h]
+            neighbours.append(flipped)
+        if any(map(sum, zip(map((-lam).__mul__, part), *neighbours))):
+            return False
+    return True
 
 
 def _clip_band(i: int, j: int, m: int) -> tuple[int, int]:

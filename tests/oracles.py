@@ -43,6 +43,18 @@ def naive_inverse_walsh(fhat: VertexFunction) -> VertexFunction:
     return make_function(fhat.n, vals)
 
 
+def naive_coefficient(f: VertexFunction, u: int) -> Fraction:
+    """One unnormalized Walsh coefficient, sum_x f(x) * (-1)^(u.x), by a single sum."""
+    return sum((f.values[x] * sign(u, x) for x in range(1 << f.n)), Fraction(0))
+
+
+def naive_level_projection(f: VertexFunction, i: int) -> list[Fraction]:
+    """(1/2^n) * sum over weight-i u of coefficient(u) * chi_u, summed over those u only."""
+    size = 1 << f.n
+    level = [(u, naive_coefficient(f, u)) for u in range(size) if weight(u) == i]
+    return [sum((c * sign(u, x) for u, c in level), Fraction(0)) / size for x in range(size)]
+
+
 def naive_tensor(values1, values2) -> list[Fraction]:
     """Value at code c is values1[c mod m] * values2[c div m], m = len(values1),
     one Fraction product per code."""

@@ -1,3 +1,4 @@
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -27,7 +28,15 @@ from cubespec import (
     walsh_transform,
     zero_function,
 )
-from conftest import SPELLINGS, mixed_table, random_band_function, random_function, random_rational_function
+from cubespec.functions import _scaled_ints
+from conftest import (
+    LARGE_PRIME,
+    SPELLINGS,
+    mixed_table,
+    random_band_function,
+    random_function,
+    random_rational_function,
+)
 from oracles import naive_inverse_walsh, naive_is_zero, naive_support, naive_tensor, naive_walsh
 
 
@@ -166,6 +175,17 @@ class TestIntegerPath:
             assert back.values == naive_inverse_walsh(f).values
             assert all(type(v) is Fraction for v in fhat.values + back.values)
 
+    def test_scaled_ints_match_fraction_arithmetic(self, rng):
+        # signed entries, LARGE_PRIME denominators, and one-entry tables
+        tables = [random_rational_function(rng, n).values for n in range(6)]
+        tables += [(Fraction(-3, LARGE_PRIME),), (Fraction(0),), (Fraction(-5),),
+                   (Fraction(1, LARGE_PRIME), Fraction(-7, 4 * LARGE_PRIME), Fraction(-2, 3), Fraction(0))]
+        for values in tables:
+            c, d = _scaled_ints(values)
+            assert d == math.lcm(*(v.denominator for v in values))
+            assert all(type(x) is int for x in c)
+            assert [x / Fraction(d) for x in c] == list(values)
+
     @pytest.mark.parametrize("n", range(8))
     def test_inner_product_matches_plain_sum(self, rng, n):
         f, g = random_rational_function(rng, n), random_rational_function(rng, n)
@@ -298,6 +318,24 @@ class TestValueTables:
             assert support(f) == naive_support(vals)
             assert support_size(f) == len(naive_support(vals))
             assert f.is_zero() is naive_is_zero(vals)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_entrywise_arithmetic_matches_fractions(self, rng, n):
+        f, g = random_rational_function(rng, n), random_rational_function(rng, n)
+        c = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 30), rng.choice((1, 3, 16, LARGE_PRIME)))
+        signs = [(-1) ** bin(x).count("1") for x in range(1 << n)]
+        cases = [
+            (f + g, [a + b for a, b in zip(f.values, g.values)]),
+            (f - g, [a - b for a, b in zip(f.values, g.values)]),
+            (f - f, [Fraction(0)] * (1 << n)),
+            (f.scale(c), [c * a for a in f.values]),
+            (f.scale(0), [Fraction(0)] * (1 << n)),
+            (parity_twist(f), [s * a for s, a in zip(signs, f.values)]),
+        ]
+        for got, expected in cases:
+            assert list(got.values) == expected
+            assert all(type(v) is Fraction for v in got.values)
+            assert len({id(v) for v in got.values}) == len(set(got.values))
 
     def test_equal_values_share_one_fraction(self, rng):
         f = make_function(4, mixed_table(rng, 4, "repeated"))

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import math
 import re
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -32,7 +35,14 @@ from cubespec import (
 )
 from cubespec.spectral import _levels
 from conftest import LARGE_PRIME, random_band_function, random_function, random_rational_function
-from oracles import minkowski, naive_eigen_relation, naive_inverse_walsh, naive_walsh
+from oracles import (
+    minkowski,
+    naive_coefficient,
+    naive_eigen_relation,
+    naive_level_projection,
+    naive_walsh,
+    sign,
+)
 
 
 def test_character_values():
@@ -85,13 +95,15 @@ def test_spectrum_set_rejects_non_int_levels(level):
 
 
 def test_levels_match_the_fraction_transform_oracle(rng):
-    for n in range(8):
-        for k in range(4):
+    # from n = 8 on, two sampled levels per table keep the O(4^n) oracle cheap
+    for n in range(10):
+        for k in range(4 if n < 8 else 2):
             f = random_band_function(rng, n, 0, n) if k % 2 else random_rational_function(rng, n)
             d = math.lcm(*(v.denominator for v in f.values))
-            ints = [int(v * d) for v in f.values]
-            expected = {weight(u) for u, c in enumerate(naive_walsh(f).values) if c != 0}
-            assert _levels(ints) == expected
+            levels = _levels([int(v * d) for v in f.values])
+            for i in range(n + 1) if n < 8 else rng.sample(range(n + 1), 2):
+                present = any(naive_coefficient(f, u) != 0 for u in range(1 << n) if weight(u) == i)
+                assert (i in levels) == present
     assert _levels([0] * 8) == frozenset()
 
 
@@ -113,14 +125,13 @@ class TestLevelProject:
         assert nonzero == {0b011, 0b101, 0b110}
 
     def test_matches_the_oracle_transforms_on_rational_tables(self, rng):
-        for n in range(8):
+        # from n = 8 on, two sampled levels keep the O(4^n) oracle cheap
+        for n in range(10):
             f = random_rational_function(rng, n)
-            fhat = naive_walsh(f)
-            for i in range(n + 1):
-                masked = [c if weight(u) == i else 0 for u, c in enumerate(fhat.values)]
+            for i in range(n + 1) if n < 8 else rng.sample(range(n + 1), 2):
                 proj = level_project(f, i)
                 assert all(type(v) is Fraction for v in proj.values)
-                assert proj.values == naive_inverse_walsh(make_function(n, masked)).values
+                assert list(proj.values) == naive_level_projection(f, i)
 
     def test_projections_sum_to_f_and_satisfy_eigen_relation(self, rng):
         f = random_function(rng, 4)
@@ -235,19 +246,25 @@ class TestEigenRelation:
 
 
 class TestEigenRelationOracle:
-    """check_eigen_relation against Fraction neighbour sums on rational tables."""
+    """check_eigen_relation against Fraction neighbour sums on rational tables.
+
+    n runs over 0..10, so the strided and the block slice stages of the
+    neighbour sums and the switch between them all meet the oracle.  From
+    n = 8 on, one sampled level per n keeps the O(4^n) oracle cheap.
+    """
 
     @staticmethod
     def single_levels(rng):
-        # built by the oracle inverse, so no library transform is involved
-        for n in range(1, 7):
-            for i in range(n + 1):
+        # sums of characters with the oracle's signs, so no library transform is involved
+        for n in range(11):
+            for i in range(n + 1) if n < 8 else [rng.randrange(n + 1)]:
                 masks = [u for u in range(1 << n) if weight(u) == i]
-                table = [Fraction(0)] * (1 << n)
+                terms = []
                 for u in rng.sample(masks, min(3, len(masks))):
                     den = rng.choice((3, 5, 7, 11, 13, 8, LARGE_PRIME))
-                    table[u] = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), den)
-                yield naive_inverse_walsh(make_function(n, table)), n - 2 * i
+                    terms.append((u, Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), den)))
+                table = [sum((c * sign(u, x) for u, c in terms), Fraction(0)) for x in range(1 << n)]
+                yield make_function(n, table), n - 2 * i
 
     def test_single_levels_hold(self, rng):
         for f, lam in self.single_levels(rng):
@@ -255,18 +272,30 @@ class TestEigenRelationOracle:
             assert check_eigen_relation(f, lam)
 
     def test_one_perturbed_vertex_fails(self, rng):
+        # vertex 0, the last vertex and a random one; on H(0) every table has eigenvalue 0
         for f, lam in self.single_levels(rng):
-            vals = list(f.values)
-            vals[rng.randrange(len(vals))] += Fraction(1, rng.choice((3, 7, 16)))
-            g = make_function(f.n, vals)
-            assert not naive_eigen_relation(g, lam)
-            assert not check_eigen_relation(g, lam)
+            size = len(f.values)
+            for x in (0, size - 1, rng.randrange(size)) if f.n else ():
+                vals = list(f.values)
+                vals[x] += Fraction(1, rng.choice((3, 7, 16)))
+                g = make_function(f.n, vals)
+                assert not naive_eigen_relation(g, lam)
+                assert not check_eigen_relation(g, lam)
 
     def test_wrong_eigenvalue_fails(self, rng):
         for f, lam in self.single_levels(rng):
             for other in (lam - 2, lam + 1):
                 assert not naive_eigen_relation(f, other)
                 assert not check_eigen_relation(f, other)
+
+
+def test_eigen_relation_does_not_use_the_transform():
+    # the workloads and the tests use it to check transform results independently
+    tree = ast.parse(textwrap.dedent(inspect.getsource(check_eigen_relation)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "_scaled_ints" in names
+    assert names.isdisjoint({"_butterfly", "walsh_transform", "inverse_walsh", "_levels"})
 
 
 class TestReduction:
