@@ -108,13 +108,14 @@ def check_eigen_relation(f: VertexFunction, lam: int) -> bool:
     """Direct test of lam * f(x) = sum of f over the n neighbors of x, at every x.
 
     Works straight from the value table, independently of the transform,
-    on the integers of the table scaled by the lcm of its denominators,
-    a quarter of the table at a time.  For each coordinate b the values
-    across b are gathered as one list: a slice of the partner quarter for
-    the top two bits, otherwise the quarter with bit b of every index
-    flipped, copied by 2 * 2^b strided slices while b < n // 2 and by
-    block slices from there on, whichever is fewer.  Those n lists and
-    -lam * f are summed entry by entry, and every sum must be 0.
+    on the integers of the table scaled by the lcm of its denominators.
+    It takes a quarter of the table at a time, so the n lists it sums
+    together are quarter-length.  For each coordinate b the values across
+    b form one list: a slice of the partner quarter for the top two bits,
+    otherwise the quarter with bit b of every index flipped, copied by
+    2 * 2^b strided slices while b < n // 2 and by block slices from there
+    on.  Those n lists and -lam * f are summed entry by entry, with one
+    sum() call per entry, and every sum must be 0.
     """
     _check_int("lambda", lam, None)
     vals, _ = _scaled_ints(f.values)

@@ -248,8 +248,10 @@ class TestEigenRelation:
 class TestEigenRelationOracle:
     """check_eigen_relation against Fraction neighbour sums on rational tables.
 
-    n runs over 0..10, so the strided and the block slice stages of the
-    neighbour sums and the switch between them all meet the oracle.  From
+    n runs over 0..10, so the strided slices, the block slices and the
+    partner-quarter slices of the neighbour sums, and the switches between
+    them, all meet the oracle.  The perturbed vertices include the first
+    and the last, which lie in the first and the last quarter.  From
     n = 8 on, one sampled level per n keeps the O(4^n) oracle cheap.
     """
 
