@@ -14,7 +14,9 @@ The Walsh-Hadamard transform is stored unnormalized:
     walsh_transform(f)[u] = sum_x f(x) * (-1)^(u.x)
 
 which keeps integer-valued functions integer-valued.  The 1/2^n factor
-appears only in inner_product and inverse_walsh.
+appears only in inner_product and inverse_walsh.  The int transform
+(_butterfly) packs a table of narrow entries into rows of 64-bit lanes, one
+Python int per row, so each stage adds whole rows.
 
 Tensor products place the first factor in the low bits: the value of
 tensor(f1, f2) at code y*2^m + x is f1(x)*f2(y) for f1 on H(m).
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -32,6 +36,10 @@ from operator import add, mul, sub
 MAX_DIMENSION = 24
 _INT_RE = re.compile(r"-?\d+", re.ASCII)
 _RATIONAL_RE = re.compile(rf"({_INT_RE.pattern})(?:/([1-9]\d*))?", re.ASCII)
+# _butterfly packs tables of at least this many entries into 64-bit lanes;
+# below it, packing costs more than the stages it saves
+_PACK_MIN = 1 << 8
+_LANE_TOP = bytes(7) + b"\x80"  # one little-endian 64-bit lane with its top bit set
 
 
 def _check_int(what: str, value, lo: int | None = 0, hi: int | None = None) -> None:
@@ -153,13 +161,77 @@ def _fractions(ints, d: int = 1) -> tuple[Fraction, ...]:
     return tuple(map(value.__getitem__, ints))
 
 
-def _butterfly(vals: list[int]) -> list[int]:
+def _stages(vals: list) -> list:
     # one stage per coordinate: transform the top bit and rotate it to bit 0
     half = len(vals) >> 1
     for _ in range(half.bit_length()):
         lo, hi = vals[:half], vals[half:]
         vals[0::2] = map(add, lo, hi)
         vals[1::2] = map(sub, lo, hi)
+    return vals
+
+
+def _lane_tops(width: int) -> int:
+    """The int with the top bit of each of width 64-bit lanes set."""
+    return int.from_bytes(_LANE_TOP * width, "little")
+
+
+def _rows(table: array, width: int) -> list[int]:
+    """Each run of width entries of an array('q') as one int sum_l v_l * 2^(64 l).
+
+    A run read unsigned holds v_l mod 2^64 in lane l; flipping every top
+    bit adds 2^63 to each lane, and subtracting the top bits leaves v_l.
+    """
+    tops = _lane_tops(width)
+    view = memoryview(table)
+    return [(int.from_bytes(view[s:s + width], sys.byteorder) ^ tops) - tops
+            for s in range(0, len(view), width)]
+
+
+def _columns(rows: list[int], width: int) -> array:
+    """The lanes of the rows as an array('q'), transposed: lane l of row r at l * len(rows) + r."""
+    tops = _lane_tops(width)
+    height = len(rows)
+    flat = array("q", b"".join([((r + tops) ^ tops).to_bytes(8 * width, sys.byteorder) for r in rows]))
+    table = array("q", bytes(8 * len(flat)))
+    for r in range(height):
+        table[r::height] = flat[r * width:(r + 1) * width]
+    return table
+
+
+def _butterfly(vals: list[int]) -> list[int]:
+    """The Walsh-Hadamard transform of a table of 2^n ints, in place; returns vals.
+
+    A table of at least _PACK_MIN entries that all fit a signed (64 - n)-bit
+    word, -2^(63-n) <= v < 2^(63-n), runs on packed rows: its entries become
+    2^b rows of 2^a signed 64-bit lanes (a = n // 2), one int per row, and
+    the stages over the rows transform the b high coordinates of every lane
+    at once.  No lane overflows: a partial sum adds at most 2^n entries, one
+    of them with sign +, so it lies in [-2^63, 2^63).  The rows are unpacked
+    transposed, repacked as 2^a rows of 2^b lanes for the a low coordinates,
+    and unpacked transposed back.  Other tables run the stages on their
+    entries.
+    """
+    size = len(vals)
+    n = size.bit_length() - 1
+    if size < _PACK_MIN:
+        return _stages(vals)
+    try:
+        table = array("q", vals)
+    except OverflowError:  # an entry wider than a lane
+        return _stages(vals)
+    width = 1 << n // 2
+    rows = _rows(table, width)
+    # v fits (64 - n) bits exactly when v + 2^(63-n) lies in [0, 2^(64-n)): then
+    # no lane borrows from the next and the top n bits of every lane read 0
+    tops = _lane_tops(width)
+    bias, high = tops >> n, (tops - (tops >> n)) << 1
+    if any((r + bias) & high for r in rows):
+        return _stages(vals)
+    table = _columns(_stages(rows), width)
+    del rows  # one packed copy of the table at a time
+    height = size // width
+    vals[:] = _columns(_stages(_rows(table, height)), height).tolist()
     return vals
 
 

@@ -19,7 +19,15 @@ from .trades import AffineSubspace, TradePair
 
 
 def function_to_dict(f: VertexFunction) -> dict:
-    return {"n": f.n, "values": [str(v) for v in f.values]}
+    """Encode a function, formatting each distinct value object once.
+
+    Tables share one Fraction per distinct value, so the strings are keyed
+    by object identity, which costs no Fraction hash.
+    """
+    ids = list(map(id, f.values))
+    distinct = dict(zip(ids, f.values))
+    text = dict(zip(distinct, map(str, distinct.values())))
+    return {"n": f.n, "values": list(map(text.__getitem__, ids))}
 
 
 def fields(payload, **types) -> list:

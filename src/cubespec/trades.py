@@ -126,7 +126,7 @@ def anf_degree(indicator: VertexFunction) -> int:
         raise ValueError("anf_degree expects a 0/1-valued indicator")
     if not any(coeffs):
         raise ValueError("anf_degree expects a nonzero indicator")
-    # one stage per coordinate, as in functions._butterfly: the top bit to bit 0
+    # one stage per coordinate, as in functions._stages: the top bit to bit 0
     half = len(coeffs) >> 1
     for _ in range(half.bit_length()):
         lo, hi = coeffs[:half], coeffs[half:]

@@ -1,7 +1,8 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is written in the most literal O(4^n)-ish style on purpose
-so it shares no code path with the library: double-sum transforms,
+so it shares no code path with the library: double-sum transforms, an int
+transform by the recursive split (f0 + f1, f0 - f1),
 subset-XOR algebraic coefficients, explicit face scans, a Gauss-Jordan
 kernel, an all-subsets rank search that does not use the library's
 pruning, a canonical form that builds and compares every dense image
@@ -41,6 +42,20 @@ def naive_inverse_walsh(fhat: VertexFunction) -> VertexFunction:
         for x in range(size)
     ]
     return make_function(fhat.n, vals)
+
+
+def naive_int_walsh(vals: list[int]) -> list[int]:
+    """The unnormalized transform of an int table of length 2^n by the recursive split.
+
+    With f0 and f1 the halves where the top coordinate is 0 and 1, the
+    coefficients with top bit 0 are the transform of f0 + f1 and those with
+    top bit 1 the transform of f0 - f1, both on H(n-1).
+    """
+    if len(vals) == 1:
+        return list(vals)
+    half = len(vals) // 2
+    f0, f1 = vals[:half], vals[half:]
+    return naive_int_walsh([a + b for a, b in zip(f0, f1)]) + naive_int_walsh([a - b for a, b in zip(f0, f1)])
 
 
 def naive_coefficient(f: VertexFunction, u: int) -> Fraction:

@@ -28,7 +28,8 @@ from cubespec import (
     walsh_transform,
     zero_function,
 )
-from cubespec.functions import _scaled_ints
+from cubespec import functions
+from cubespec.functions import _butterfly, _scaled_ints
 from conftest import (
     LARGE_PRIME,
     SPELLINGS,
@@ -37,7 +38,14 @@ from conftest import (
     random_function,
     random_rational_function,
 )
-from oracles import naive_inverse_walsh, naive_is_zero, naive_support, naive_tensor, naive_walsh
+from oracles import (
+    naive_int_walsh,
+    naive_inverse_walsh,
+    naive_is_zero,
+    naive_support,
+    naive_tensor,
+    naive_walsh,
+)
 
 
 class TestMakeFunction:
@@ -165,10 +173,12 @@ class TestWalsh:
 class TestIntegerPath:
     """The scaled-integer transforms against the double-sum oracles."""
 
-    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("n", range(10))
     def test_transforms_match_oracles(self, rng, n):
-        tables = [random_rational_function(rng, n) for _ in range(3)]
-        tables += [random_function(rng, n, -50, 50), zero_function(n)]
+        # from n = 8 on the double sums are slow: one table that packs and one
+        # whose LARGE_PRIME lcm is too wide for a lane
+        tables = [random_rational_function(rng, n) for _ in range(3 if n < 8 else 1)]
+        tables += [random_function(rng, n, -50, 50)] + ([zero_function(n)] if n < 8 else [])
         for f in tables:
             fhat, back = walsh_transform(f), inverse_walsh(f)
             assert fhat.values == naive_walsh(f).values
@@ -192,6 +202,67 @@ class TestIntegerPath:
         expected = sum((a * b for a, b in zip(f.values, g.values)), Fraction(0)) / (1 << n)
         got = inner_product(f, g)
         assert got == expected and type(got) is Fraction
+
+
+class TestButterfly:
+    """_butterfly, on packed 64-bit rows and on entries, against the recursive-split oracle."""
+
+    @staticmethod
+    def _check(vals):
+        expected = naive_int_walsh(vals)
+        table = list(vals)
+        assert _butterfly(table) is table
+        assert table == expected
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_matches_the_split_oracle(self, rng, n):
+        # both sides of the packing threshold, narrow and wide entries
+        size = 1 << n
+        for bits in (10, 40, 100):
+            self._check([rng.randrange(-(1 << bits), 1 << bits) for _ in range(size)])
+        self._check([0] * size)
+        for spike in (0, size - 1):
+            table = [0] * size
+            table[spike] = -7
+            self._check(table)
+
+    @pytest.mark.parametrize("n", [8, 11, 14])
+    def test_lane_edge(self, rng, monkeypatch, n):
+        # entries that fit a signed (64 - n)-bit word pack, down to -2^(63-n);
+        # one more bit runs the stages on the entries.  The stage calls tell
+        # which path ran.
+        lengths = []
+        stages = functions._stages
+        monkeypatch.setattr(functions, "_stages", lambda vals: lengths.append(len(vals)) or stages(vals))
+        size = 1 << n
+        last = [-1 if bin(x).count("1") % 2 else 1 for x in range(size)]  # the character chi_(2^n - 1)
+        m = 63 - n
+        cases = [(-((1 << m) - 1), True), (1 << (m - 1), True), (-(1 << m), True),
+                 (-((1 << (m + 1)) - 1), False), (1 << m, False)]
+        for edge, packed in cases:
+            tables = [[edge] * size, [edge] + [0] * (size - 1), [0] * (size - 1) + [edge]]
+            if edge != -(1 << m):  # +2^(63-n) does not fit; others reach 2^n |edge| at the last coefficient
+                tables.append([edge * s for s in last])
+            low = -(1 << m) if packed else -(1 << (m + 1))
+            mixed = [rng.randrange(low, -low) for _ in range(size)]
+            mixed[rng.randrange(size)] = edge
+            tables.append(mixed)
+            for table in tables:
+                lengths.clear()
+                self._check(table)
+                assert (lengths == [size]) is not packed, (edge, lengths)
+        lengths.clear()
+        self._check([0] * size)
+        assert size not in lengths
+
+    def test_walsh_twice_is_2_to_the_n_at_n14(self, rng):
+        # one table too wide for a lane and one that packs
+        n = 14
+        wide = [Fraction(rng.randrange(-(1 << 80), 1 << 80), rng.choice((3, LARGE_PRIME))) for _ in range(1 << n)]
+        narrow = [Fraction(rng.randrange(-20, 21), rng.choice((3, 5, 7))) for _ in range(1 << n)]
+        for values in (wide, narrow):
+            f = make_function(n, values)
+            assert walsh_transform(walsh_transform(f)).values == tuple((1 << n) * v for v in values)
 
 
 class TestTensor:

@@ -3,7 +3,14 @@ from pathlib import Path
 
 from cubespec import make_function
 from conftest import random_rational_function
-from oracles import naive_coefficient, naive_inverse_walsh, naive_level_projection, naive_walsh, weight
+from oracles import (
+    naive_coefficient,
+    naive_int_walsh,
+    naive_inverse_walsh,
+    naive_level_projection,
+    naive_walsh,
+    weight,
+)
 
 
 def test_oracles_import_only_the_value_type_from_the_library():
@@ -27,3 +34,9 @@ def test_single_level_oracles_match_the_full_double_sums(rng):
         for i in range(n + 1):
             masked = [c if weight(u) == i else 0 for u, c in enumerate(fhat.values)]
             assert naive_level_projection(f, i) == list(naive_inverse_walsh(make_function(n, masked)).values)
+
+
+def test_split_oracle_matches_the_double_sum(rng):
+    for n in range(6):
+        vals = [rng.randrange(-100, 101) for _ in range(1 << n)]
+        assert naive_int_walsh(vals) == list(naive_walsh(make_function(n, vals)).values)

@@ -43,6 +43,18 @@ class TestFunctionFormat:
         assert payload == {"n": 2, "values": ["1/3", "-2", "0", "5/7"]}
         assert serialize.function_from_dict(payload).values == f.values
 
+    def test_each_value_object_is_formatted_once(self, monkeypatch):
+        # equal values held by distinct objects are formatted once per object
+        half, minus_three = Fraction(1, 2), Fraction(-3)
+        values = [half, minus_three, half, Fraction(2, 4), half, Fraction(0), Fraction(-3), minus_three]
+        f = make_function(3, values)
+        expected = [str(v) for v in values]
+        calls = []
+        fraction_str = Fraction.__str__
+        monkeypatch.setattr(Fraction, "__str__", lambda v: calls.append(v) or fraction_str(v))
+        assert serialize.function_to_dict(f) == {"n": 3, "values": expected}
+        assert len(calls) == len({id(v) for v in values}) == 5
+
     def test_emitted_json_reparses_identically(self):
         f = tensor(phi(2), phi(1))
         text = serialize.dumps(serialize.function_to_dict(f))
