@@ -15,8 +15,11 @@ The Walsh-Hadamard transform is stored unnormalized:
 
 which keeps integer-valued functions integer-valued.  The 1/2^n factor
 appears only in inner_product and inverse_walsh.  The int transform
-(_butterfly) packs a table of narrow entries into rows of 64-bit lanes, one
-Python int per row, so each stage adds whole rows.
+(_butterfly) runs one stage per coordinate.  A table of narrow entries runs
+them on rows of 64-bit lanes, one Python int per row, so each stage adds
+whole rows; _packed is the one rule that decides when a table packs, for
+the transform and for spectral.check_eigen_relation alike.  Other tables
+run the stages on their entries.
 
 Tensor products place the first factor in the low bits: the value of
 tensor(f1, f2) at code y*2^m + x is f1(x)*f2(y) for f1 on H(m).
@@ -36,7 +39,7 @@ from operator import add, mul, sub
 MAX_DIMENSION = 24
 _INT_RE = re.compile(r"-?\d+", re.ASCII)
 _RATIONAL_RE = re.compile(rf"({_INT_RE.pattern})(?:/([1-9]\d*))?", re.ASCII)
-# _butterfly packs tables of at least this many entries into 64-bit lanes;
+# _packed packs tables of at least this many entries into 64-bit lanes;
 # below it, packing costs more than the stages it saves
 _PACK_MIN = 1 << 8
 _LANE_TOP = bytes(7) + b"\x80"  # one little-endian 64-bit lane with its top bit set
@@ -78,8 +81,9 @@ def as_fraction(value) -> Fraction:
 class VertexFunction:
     """A function H(n) -> Q given by its dense value table in vertex-code order.
 
-    Instances are immutable; all operations below return new objects, so
-    values may be shared freely across threads.
+    Instances are immutable: values is stored as a tuple whatever
+    sequence is given (a tuple as is, without a copy), and all operations
+    below return new objects, so values may be shared freely across threads.
     """
 
     n: int
@@ -87,6 +91,7 @@ class VertexFunction:
 
     def __post_init__(self):
         _check_int("dimension", self.n, 0, MAX_DIMENSION)
+        object.__setattr__(self, "values", tuple(self.values))  # a tuple is kept, not copied
         if len(self.values) != 1 << self.n:
             raise ValueError(
                 f"value table has length {len(self.values)}, expected {1 << self.n} for n={self.n}"
@@ -199,39 +204,54 @@ def _columns(rows: list[int], width: int) -> array:
     return table
 
 
-def _butterfly(vals: list[int]) -> list[int]:
-    """The Walsh-Hadamard transform of a table of 2^n ints, in place; returns vals.
+def _transposed(rows: list[int], width: int) -> list[int]:
+    """Rows of width lanes, transposed: lane l of row r becomes lane r of row l."""
+    return _rows(_columns(rows, width), len(rows))
 
-    A table of at least _PACK_MIN entries that all fit a signed (64 - n)-bit
-    word, -2^(63-n) <= v < 2^(63-n), runs on packed rows: its entries become
-    2^b rows of 2^a signed 64-bit lanes (a = n // 2), one int per row, and
-    the stages over the rows transform the b high coordinates of every lane
-    at once.  No lane overflows: a partial sum adds at most 2^n entries, one
-    of them with sign +, so it lies in [-2^63, 2^63).  The rows are unpacked
-    transposed, repacked as 2^a rows of 2^b lanes for the a low coordinates,
-    and unpacked transposed back.  Other tables run the stages on their
-    entries.
+
+def _packed(vals: list[int], margin: int) -> list[int] | None:
+    """The one packing rule: a table of 2^n ints as 2^b rows of 2^a 64-bit lanes, or None.
+
+    Row r holds entries r * 2^a .. (r + 1) * 2^a - 1, one per lane, with
+    a = n // 2 and b = n - a, so the rows index the b high coordinates.
+    A table packs when it has at least _PACK_MIN entries, margin <= 63
+    and every entry fits a signed (64 - margin)-bit word,
+    -2^(63-margin) <= v < 2^(63-margin); a caller that adds fewer than
+    2^margin such entries into a lane cannot leave it.
     """
-    size = len(vals)
-    n = size.bit_length() - 1
-    if size < _PACK_MIN:
-        return _stages(vals)
+    if len(vals) < _PACK_MIN or margin > 63:
+        return None
     try:
         table = array("q", vals)
     except OverflowError:  # an entry wider than a lane
-        return _stages(vals)
-    width = 1 << n // 2
+        return None
+    width = 1 << (len(vals).bit_length() - 1) // 2
     rows = _rows(table, width)
-    # v fits (64 - n) bits exactly when v + 2^(63-n) lies in [0, 2^(64-n)): then
-    # no lane borrows from the next and the top n bits of every lane read 0
+    # v fits (64 - margin) bits exactly when v + 2^(63-margin) lies in [0, 2^(64-margin)):
+    # then no lane borrows from the next and the top margin bits of every lane read 0
     tops = _lane_tops(width)
-    bias, high = tops >> n, (tops - (tops >> n)) << 1
+    bias, high = tops >> margin, (tops - (tops >> margin)) << 1
     if any((r + bias) & high for r in rows):
+        return None
+    return rows
+
+
+def _butterfly(vals: list[int]) -> list[int]:
+    """The Walsh-Hadamard transform of a table of 2^n ints, in place; returns vals.
+
+    A table that _packed takes with margin n runs on its rows: the stages
+    over the rows transform the b high coordinates of every lane at once.
+    No lane overflows: a partial sum adds at most 2^n entries, one of them
+    with sign +, so it lies in [-2^63, 2^63).  The rows are transposed for
+    the a low coordinates and unpacked transposed back.  Other tables run
+    the stages on their entries.
+    """
+    rows = _packed(vals, len(vals).bit_length() - 1)
+    if rows is None:
         return _stages(vals)
-    table = _columns(_stages(rows), width)
-    del rows  # one packed copy of the table at a time
-    height = size // width
-    vals[:] = _columns(_stages(_rows(table, height)), height).tolist()
+    height = len(rows)
+    rows = _stages(_transposed(_stages(rows), len(vals) // height))
+    vals[:] = _columns(rows, height).tolist()
     return vals
 
 

@@ -5,6 +5,12 @@ eigenspace is spanned by the characters chi_u with weight(u) = i.  The
 spectrum of a function is the set of levels carrying a nonzero Fourier
 coefficient, and a function lies "in band [i, j]" when every coefficient
 outside weights i..j vanishes (so the zero function is in every band).
+
+check_eigen_relation tests the eigenvalue relation from its definition,
+without the transform, but on the transform's stage design: one stage
+per coordinate, on the packed rows of functions._packed when the table
+leaves room in each lane for the relation's sums, and on the entries
+otherwise.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import add
 
 from .functions import (
     MAX_DIMENSION,
@@ -19,7 +26,9 @@ from .functions import (
     _butterfly,
     _check_int,
     _fractions,
+    _packed,
     _scaled_ints,
+    _transposed,
     restrict,
     weight,
 )
@@ -104,45 +113,38 @@ def in_band(f: VertexFunction, i: int, j: int) -> bool:
     return all(i <= a <= j for a in _levels(_scaled_ints(f.values)[0]))
 
 
+def _neighbour_stages(vals: list, sums: list) -> list:
+    # one stage per coordinate: add the values across the top bit into the
+    # sums, then rotate the top bit of both lists to bit 0 as _stages does
+    half = len(vals) >> 1
+    for _ in range(half.bit_length()):
+        lo, hi = vals[:half], vals[half:]
+        sums[0::2], sums[1::2] = map(add, sums[:half], hi), map(add, sums[half:], lo)
+        vals[0::2], vals[1::2] = lo, hi
+    return sums
+
+
 def check_eigen_relation(f: VertexFunction, lam: int) -> bool:
     """Direct test of lam * f(x) = sum of f over the n neighbors of x, at every x.
 
     Works straight from the value table, independently of the transform,
     on the integers of the table scaled by the lcm of its denominators.
-    It takes a quarter of the table at a time, so the n lists it sums
-    together are quarter-length.  For each coordinate b the values across
-    b form one list: a slice of the partner quarter for the top two bits,
-    otherwise the quarter with bit b of every index flipped, copied by
-    2 * 2^b strided slices while b < n // 2 and by block slices from there
-    on.  Those n lists and -lam * f are summed entry by entry, with one
-    sum() call per entry, and every sum must be 0.
+    The sums start at -lam * f, and one stage per coordinate adds the
+    neighbours across it.  A table that _packed takes with margin
+    (n + |lam|).bit_length() runs the stages on its rows for the high
+    coordinates, then on both lists transposed for the low ones.  No lane
+    leaves its 64 bits: every sum is at most (|lam| + n) * max |f| in
+    size, and |lam| + n < 2^margin.  Other tables run the stages on their
+    entries.  Every sum must be 0.
     """
     _check_int("lambda", lam, None)
     vals, _ = _scaled_ints(f.values)
-    size = len(vals)
-    part_size = max(size >> 2, 1)
-    for start in range(0, size, part_size):
-        part = vals[start:start + part_size]
-        neighbours = []
-        for b in range(f.n):
-            h = 1 << b
-            step = h << 1
-            if h >= part_size:
-                flipped = vals[start ^ h:(start ^ h) + part_size]
-            elif b < f.n // 2:
-                flipped = [0] * part_size
-                for r in range(h):
-                    flipped[r::step] = part[r + h::step]
-                    flipped[r + h::step] = part[r::step]
-            else:
-                flipped = [0] * part_size
-                for s in range(0, part_size, step):
-                    flipped[s:s + h] = part[s + h:s + step]
-                    flipped[s + h:s + step] = part[s:s + h]
-            neighbours.append(flipped)
-        if any(map(sum, zip(map((-lam).__mul__, part), *neighbours))):
-            return False
-    return True
+    rows = _packed(vals, (f.n + abs(lam)).bit_length())
+    if rows is None:
+        return not any(_neighbour_stages(vals, list(map((-lam).__mul__, vals))))
+    sums = _neighbour_stages(rows, list(map((-lam).__mul__, rows)))
+    width = len(vals) // len(rows)
+    return not any(_neighbour_stages(_transposed(rows, width), _transposed(sums, width)))
 
 
 def _clip_band(i: int, j: int, m: int) -> tuple[int, int]:

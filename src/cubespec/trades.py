@@ -68,13 +68,15 @@ def face_sums_vanish(f: VertexFunction, i: int) -> bool:
 
 @dataclass(frozen=True)
 class TradePair:
-    """Two disjoint nonempty vertex sets, candidates for a [t]-trade."""
+    """Two disjoint nonempty vertex sets, candidates for a [t]-trade, stored as frozensets."""
 
     t0: frozenset[int]
     t1: frozenset[int]
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "t0", frozenset(self.t0))
+        object.__setattr__(self, "t1", frozenset(self.t1))
         if not self.t0 or not self.t1:
             raise ValueError("both sets of a trade pair must be nonempty")
         if self.t0 & self.t1:

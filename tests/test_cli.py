@@ -363,7 +363,7 @@ def test_every_input_command_rejects_malformed_input(tmp_path, capsys, cmd, payl
     assert_contract_error(*run(capsys, *_input_argv(tmp_path, cmd, payload)))
 
 
-DEEP_JSON = {"unclosed": "[" * 100_000, "valid": "[" * 2000 + "]" * 2000}
+DEEP_JSON = {"unclosed": "[" * 100_000, "valid": "[" * 100_000 + "]" * 100_000}
 TOO_DEEP = "invalid JSON input: nesting too deep"
 
 

@@ -22,6 +22,7 @@ from cubespec import (
     point_mass,
     psi,
     restrict,
+    spectrum,
     support,
     support_size,
     tensor,
@@ -29,7 +30,7 @@ from cubespec import (
     zero_function,
 )
 from cubespec import functions
-from cubespec.functions import _butterfly, _scaled_ints
+from cubespec.functions import _PACK_MIN, _butterfly, _packed, _scaled_ints, _transposed
 from conftest import (
     LARGE_PRIME,
     SPELLINGS,
@@ -123,6 +124,19 @@ class TestVertexFunctionValues:
         f = VertexFunction(2, (1, Fraction(1, 2), 0, -3))
         assert f.values == (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-3))
         assert all(type(v) is Fraction for v in f.values)
+
+    def test_values_are_a_tuple_whatever_the_sequence(self):
+        table = [Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(3)]
+        f, g = VertexFunction(2, table), VertexFunction(2, tuple(table))
+        assert type(f.values) is tuple and f == g and hash(f) == hash(g)
+        assert (f + g).values == tuple(2 * v for v in table)
+        table.append(Fraction(5))  # the caller's list is not the function's table
+        assert f.values == g.values and spectrum(f) == spectrum(g)
+        assert type(VertexFunction(1, [1, 0]).values) is tuple
+
+    def test_a_tuple_is_kept_without_a_copy(self):
+        table = (Fraction(1), Fraction(2))
+        assert VertexFunction(1, table).values is table
 
 
 class TestWalsh:
@@ -263,6 +277,45 @@ class TestButterfly:
         for values in (wide, narrow):
             f = make_function(n, values)
             assert walsh_transform(walsh_transform(f)).values == tuple((1 << n) * v for v in values)
+
+
+class TestPacked:
+    """_packed, the one packing rule, and _transposed on its rows."""
+
+    @staticmethod
+    def _rows(vals, width):
+        # row r holds the run of width entries from r * width, entry l in lane l
+        return [sum(v << 64 * l for l, v in enumerate(vals[s:s + width])) for s in range(0, len(vals), width)]
+
+    def test_short_tables_do_not_pack(self):
+        assert _packed([0] * (_PACK_MIN >> 1), 8) is None
+        assert _packed([0] * _PACK_MIN, 8) is not None
+
+    def test_margin_above_63_does_not_pack(self):
+        assert _packed([0] * _PACK_MIN, 64) is None
+        assert _packed([-1, 0] * (_PACK_MIN >> 1), 63) is not None
+        assert _packed([1, 0] * (_PACK_MIN >> 1), 63) is None
+
+    @pytest.mark.parametrize("entry", [1 << 63, -(1 << 63) - 1, 1 << 100])
+    def test_entries_wider_than_a_lane_do_not_pack(self, entry):
+        assert _packed([entry] + [0] * (_PACK_MIN - 1), 0) is None
+
+    @pytest.mark.parametrize("n", [8, 9, 11, 14])
+    @pytest.mark.parametrize("margin", [0, 1, 14, 40, 63])
+    def test_rows_at_the_edge_and_one_bit_past(self, rng, n, margin):
+        size, width = 1 << n, 1 << n // 2
+        top = 1 << (63 - margin)
+        for vals in ([-top] * size, [top - 1] * size, [rng.randrange(-top, top) for _ in range(size)]):
+            vals[0], vals[-1] = -top, top - 1
+            rows = _packed(vals, margin)
+            assert rows == self._rows(vals, width) and len(rows) == size // width
+            lanes = [vals[r + l * width] for r in range(width) for l in range(size // width)]
+            assert _transposed(rows, width) == self._rows(lanes, size // width)
+            for past in (top, -top - 1):
+                for x in (0, size - 1, rng.randrange(size)):
+                    wider = list(vals)
+                    wider[x] = past
+                    assert _packed(wider, margin) is None, (past, x)
 
 
 class TestTensor:

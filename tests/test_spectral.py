@@ -33,6 +33,7 @@ from cubespec import (
     weight,
     zero_function,
 )
+from cubespec import spectral
 from cubespec.spectral import _levels
 from conftest import LARGE_PRIME, random_band_function, random_function, random_rational_function
 from oracles import (
@@ -248,11 +249,12 @@ class TestEigenRelation:
 class TestEigenRelationOracle:
     """check_eigen_relation against Fraction neighbour sums on rational tables.
 
-    n runs over 0..10, so the strided slices, the block slices and the
-    partner-quarter slices of the neighbour sums, and the switches between
-    them, all meet the oracle.  The perturbed vertices include the first
-    and the last, which lie in the first and the last quarter.  From
-    n = 8 on, one sampled level per n keeps the O(4^n) oracle cheap.
+    n runs over 0..10, so tables below the packing threshold (2^8 entries)
+    meet the oracle on their entries and larger ones on packed rows, while
+    a LARGE_PRIME denominator makes the scaled entries too wide for a lane.
+    TestEigenRelationPaths sends tables down each path on purpose.  The
+    perturbed vertices include the first and the last.  From n = 8 on, one
+    sampled level per n keeps the O(4^n) oracle cheap.
     """
 
     @staticmethod
@@ -291,13 +293,75 @@ class TestEigenRelationOracle:
                 assert not check_eigen_relation(f, other)
 
 
+class TestEigenRelationPaths:
+    """Both paths of check_eigen_relation at the lane edge, with a spy on its stages.
+
+    A table packs for lam when every scaled entry fits a signed
+    (64 - m)-bit word, m = (n + |lam|).bit_length(): its stages then run
+    on 2^b rows and on 2^a transposed rows (b = n - a, a = n // 2), while
+    the entries path runs them once on all 2^n entries.  The perturbed
+    vertices are 0, the last vertex and vertices with only low or only
+    high index bits set, so a wrong transpose shows.
+    """
+
+    @pytest.fixture
+    def lengths(self, monkeypatch):
+        lengths = []
+        stages = spectral._neighbour_stages
+        monkeypatch.setattr(spectral, "_neighbour_stages",
+                            lambda vals, sums: lengths.append(len(vals)) or stages(vals, sums))
+        return lengths
+
+    @staticmethod
+    def ask(lengths, f, lam, packed):
+        lengths.clear()
+        answer = check_eigen_relation(f, lam)
+        a = f.n // 2
+        assert lengths == ([1 << (f.n - a), 1 << a] if packed else [1 << f.n]), (lam, lengths)
+        return answer
+
+    @pytest.mark.parametrize("n", [8, 11, 14])
+    def test_lane_edge(self, rng, lengths, n):
+        size, low = 1 << n, 1 << n // 2
+        vertices = (0, size - 1, rng.randrange(1, low), rng.randrange(1, size // low) * low)
+        for i in sorted({0, 1, n // 2, n - 1, n}):
+            lam = n - 2 * i
+            top = 1 << 63 - (n + abs(lam)).bit_length()
+            u = rng.choice([x for x in range(size) if weight(x) == i])
+            chi = [sign(u, x) for x in range(size)]
+            # E * chi_u packs for E = 2^(63-m) - 1, not for 2^(63-m) nor one bit more
+            for edge, packed in ((top - 1, True), (top, False), (2 * top - 1, False)):
+                table = [edge * s for s in chi]
+                assert self.ask(lengths, make_function(n, table), lam, packed)
+                for x in vertices:
+                    nudged = list(table)
+                    nudged[x] -= chi[x]  # towards 0, so the path stays the same
+                    assert not self.ask(lengths, make_function(n, nudged), lam, packed), x
+        # -2^(63-m) packs, one less does not: the constant at level 0
+        top = 1 << 63 - (2 * n).bit_length()
+        assert self.ask(lengths, constant_function(n, -top), n, True)
+        assert self.ask(lengths, constant_function(n, -top - 1), n, False)
+
+    @pytest.mark.parametrize("lam", [1 << 62, -(1 << 62), (1 << 63) - 9, 1 << 63, -(1 << 100)], ids=hex)
+    def test_huge_lambda_fails_unless_zero(self, rng, lengths, lam):
+        # at margin 63 only entries in {-1, 0} pack; a margin above 63 never does
+        n = 8
+        packs = (n + abs(lam)).bit_length() <= 63
+        for f in (character(n, rng.randrange(1 << n)), random_function(rng, n)):
+            assert not self.ask(lengths, f, lam, False)
+        assert not self.ask(lengths, make_function(n, [-(x & 1) for x in range(1 << n)]), lam, packs)
+        assert self.ask(lengths, zero_function(n), lam, packs)
+
+
 def test_eigen_relation_does_not_use_the_transform():
     # the workloads and the tests use it to check transform results independently
-    tree = ast.parse(textwrap.dedent(inspect.getsource(check_eigen_relation)))
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert "_scaled_ints" in names
-    assert names.isdisjoint({"_butterfly", "walsh_transform", "inverse_walsh", "_levels"})
+    names = set()
+    for func in (check_eigen_relation, spectral._neighbour_stages):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {"_scaled_ints", "_neighbour_stages"} <= names
+    assert names.isdisjoint({"_butterfly", "_stages", "walsh_transform", "inverse_walsh", "_levels"})
 
 
 class TestReduction:

@@ -136,6 +136,19 @@ class TestIsTrade:
         with pytest.raises(ValueError):
             TradePair(frozenset({1}), frozenset({1, 2}), 2)
 
+    @pytest.mark.parametrize("kind", [set, list, tuple, frozenset], ids=lambda kind: kind.__name__)
+    def test_pair_sets_are_frozensets(self, kind):
+        t0, t1 = [0b00, 0b11], [0b01, 0b10]
+        tp, ref = TradePair(kind(t0), kind(t1), 2), TradePair(frozenset(t0), frozenset(t1), 2)
+        assert type(tp.t0) is frozenset and type(tp.t1) is frozenset
+        assert tp == ref and hash(tp) == hash(ref)
+
+    def test_the_callers_set_is_not_the_pairs(self):
+        t0 = {0, 1, 2}
+        tp = TradePair(t0, {4}, 3)
+        t0.add(4)
+        assert tp.t0 == {0, 1, 2} and not is_trade(tp, 0)
+
     @pytest.mark.parametrize("n", [2.0, True, "2", -1], ids=repr)
     def test_pair_rejects_a_bad_dimension(self, n):
         with pytest.raises(ValueError, match=f"^n must be an int >= 0, got {re.escape(repr(n))}"):
