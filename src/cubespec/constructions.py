@@ -120,16 +120,12 @@ def build(bp: Blueprint) -> VertexFunction:
 
     Factor order is fixed (odd parts descending, even parts descending,
     point mass last) so output tables are reproducible; any other order is
-    equivalent under a coordinate permutation.
+    equivalent under a coordinate permutation.  The blocks go into one
+    tensor call, which builds the product table once.
     """
     _check_int("dimension", bp.n, 0, MAX_DIMENSION)  # before any block is built
     odd_block = phi if bp.case == LOWER else psi
-    f = point_mass(0)
-    for p in bp.odd_parts:
-        f = tensor(f, odd_block(p))
-    for p in bp.even_parts:
-        f = tensor(f, phi(p))
-    return tensor(f, point_mass(bp.remainder))
+    return tensor(*map(odd_block, bp.odd_parts), *map(phi, bp.even_parts), point_mass(bp.remainder))
 
 
 def blueprint_spectrum(bp: Blueprint) -> SpectrumSet:

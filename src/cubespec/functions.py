@@ -14,15 +14,18 @@ The Walsh-Hadamard transform is stored unnormalized:
     walsh_transform(f)[u] = sum_x f(x) * (-1)^(u.x)
 
 which keeps integer-valued functions integer-valued.  The 1/2^n factor
-appears only in inner_product and inverse_walsh.  The int transform
-(_butterfly) runs one stage per coordinate.  A table of narrow entries runs
-them on rows of 64-bit lanes, one Python int per row, so each stage adds
-whole rows; _packed is the one rule that decides when a table packs, for
-the transform and for spectral.check_eigen_relation alike.  Other tables
-run the stages on their entries.
+appears only in inner_product and inverse_walsh.  _stages runs one stage
+per coordinate and takes the stage's arithmetic: the Walsh add and
+subtract for the int transform (_butterfly), the Z_2 Moebius step for
+trades.anf_degree.  A transformed table of narrow entries runs the stages
+on rows of 64-bit lanes, one Python int per row, so each stage adds whole
+rows; _packed is the one rule that decides when a table packs, for the
+transform and for spectral.check_eigen_relation alike.  Other tables run
+the stages on their entries.
 
 Tensor products place the first factor in the low bits: the value of
-tensor(f1, f2) at code y*2^m + x is f1(x)*f2(y) for f1 on H(m).
+tensor(f1, f2) at code y*2^m + x is f1(x)*f2(y) for f1 on H(m).  One call
+takes any number of factors and builds one table.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ import math
 import re
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, groupby, repeat
 from operator import add, mul, sub
 
 MAX_DIMENSION = 24
@@ -43,6 +47,7 @@ _RATIONAL_RE = re.compile(rf"({_INT_RE.pattern})(?:/([1-9]\d*))?", re.ASCII)
 # below it, packing costs more than the stages it saves
 _PACK_MIN = 1 << 8
 _LANE_TOP = bytes(7) + b"\x80"  # one little-endian 64-bit lane with its top bit set
+_HASH_MODULUS = sys.hash_info.modulus  # an int hashes to its value mod this, 2^61 - 1 on 64-bit builds
 
 
 def _check_int(what: str, value, lo: int | None = 0, hi: int | None = None) -> None:
@@ -160,19 +165,30 @@ def _fractions(ints, d: int = 1) -> tuple[Fraction, ...]:
 
     Entries may be ints or Fractions; d is a nonzero int.  Equal entries
     share one Fraction object, so a table of a few distinct values costs a
-    few Fraction constructions whatever its length.
+    few Fractions whatever its length.  Entries below 2^61 - 1 in magnitude
+    hash to themselves, so a set interns them in linear time.  Wider ints
+    hash to their value mod 2^61 - 1, and a table of them sharing one
+    residue would fill one hash bucket, so such tables intern by sorting and
+    each entry finds its Fraction by bisection.
     """
-    value = {c: Fraction(c, d) for c in set(ints)}
-    return tuple(map(value.__getitem__, ints))
+    if -_HASH_MODULUS < min(ints) and max(ints) < _HASH_MODULUS:
+        value = {c: Fraction(c, d) for c in set(ints)}
+        return tuple(map(value.__getitem__, ints))
+    distinct = [c for c, _ in groupby(sorted(ints))]
+    value = [Fraction(c, d) for c in distinct]
+    return tuple(map(value.__getitem__, map(bisect_left, repeat(distinct), ints)))
 
 
-def _stages(vals: list) -> list:
-    # one stage per coordinate: transform the top bit and rotate it to bit 0
+def _walsh_stage(lo: list, hi: list):
+    return map(add, lo, hi), map(sub, lo, hi)
+
+
+def _stages(vals: list, stage=_walsh_stage) -> list:
+    # one stage per coordinate: stage(lo, hi) combines the halves across the
+    # top bit into the even and odd entries, rotating that bit to bit 0
     half = len(vals) >> 1
     for _ in range(half.bit_length()):
-        lo, hi = vals[:half], vals[half:]
-        vals[0::2] = map(add, lo, hi)
-        vals[1::2] = map(sub, lo, hi)
+        vals[0::2], vals[1::2] = stage(vals[:half], vals[half:])
     return vals
 
 
@@ -272,17 +288,24 @@ def inverse_walsh(fhat: VertexFunction) -> VertexFunction:
     return VertexFunction(fhat.n, _fractions(_butterfly(ints), d << fhat.n))
 
 
-def tensor(f1: VertexFunction, f2: VertexFunction) -> VertexFunction:
-    """Tensor product on H(m+n); value at code y*2^m + x is f1(x)*f2(y).
+def tensor(*factors: VertexFunction) -> VertexFunction:
+    """Tensor product of the factors, the first in the low bits; tensor() is 1 on H(0).
 
-    Multiplies the two tables scaled to ints, over the product of their
-    common denominators.
+    For two factors f1 on H(m) and f2, the value at code y*2^m + x is
+    f1(x)*f2(y).  The cap on the summed dimension is checked before any
+    product; the factors' tables, scaled to ints, are folded into one
+    table over the product of their common denominators, which becomes
+    Fractions once.
     """
-    m, n = f1.n, f2.n
-    if m + n > MAX_DIMENSION:
-        raise ValueError(f"tensor dimension {m + n} exceeds the cap {MAX_DIMENSION}")
-    (a, da), (b, db) = _scaled_ints(f1.values), _scaled_ints(f2.values)
-    return VertexFunction(m + n, _fractions([x * y for y in b for x in a], da * db))
+    n = sum(f.n for f in factors)
+    if n > MAX_DIMENSION:
+        raise ValueError(f"tensor dimension {n} exceeds the cap {MAX_DIMENSION}")
+    table, d = [1], 1
+    for f in factors:
+        ints, q = _scaled_ints(f.values)
+        table = [x * y for y in ints for x in table]
+        d *= q
+    return VertexFunction(n, _fractions(table, d))
 
 
 def restrict(f: VertexFunction, r: int, k: int) -> VertexFunction:

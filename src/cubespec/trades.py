@@ -15,15 +15,22 @@ faces fixing m coordinates all do exactly when g has no level <= m.
 Both face tests ask that of an int table through _levels_above, whose
 work follows the table's support.  tests/test_trades.py checks them
 against the face scans of tests/oracles.py.
+
+The other steps also run over whole tables and sets.  anf_degree runs the
+Z_2 Moebius transform on the stage loop of the Walsh transform,
+functions._stages.  A subspace's members, and their parity split, are
+spanned by doubling over its echelon basis, one XOR per member, and the
+disjointness of that basis is one popcount of its union.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import xor
+from functools import reduce
+from itertools import compress
+from operator import or_, xor
 
-from .functions import VertexFunction, _check_int, _scaled_ints, weight
+from .functions import VertexFunction, _check_int, _scaled_ints, _stages, weight
 
 
 def _levels_above(g: dict[int, int], t: int) -> bool:
@@ -116,25 +123,24 @@ def three_values_check(f: VertexFunction) -> bool:
     return len(magnitudes) == 1
 
 
+def _moebius_stage(lo: list, hi: list):
+    return lo, map(xor, lo, hi)
+
+
 def anf_degree(indicator: VertexFunction) -> int:
     """Algebraic degree of a 0/1-valued function.
 
-    Computed by the Moebius butterfly over Z_2: the coefficient at
-    monomial mask m is the XOR of the values over the subcube below m, and
-    the degree is the largest popcount of a nonzero coefficient mask.
+    Computed by the Moebius butterfly over Z_2, on functions._stages with
+    the stage (lo, lo ^ hi): the coefficient at monomial mask m is the XOR
+    of the values over the subcube below m, and the degree is the largest
+    popcount of a nonzero coefficient mask.
     """
     coeffs, d = _scaled_ints(indicator.values)
     if d != 1 or not {*coeffs} <= {0, 1}:
         raise ValueError("anf_degree expects a 0/1-valued indicator")
     if not any(coeffs):
         raise ValueError("anf_degree expects a nonzero indicator")
-    # one stage per coordinate, as in functions._stages: the top bit to bit 0
-    half = len(coeffs) >> 1
-    for _ in range(half.bit_length()):
-        lo, hi = coeffs[:half], coeffs[half:]
-        coeffs[0::2] = lo
-        coeffs[1::2] = map(xor, lo, hi)
-    return max(weight(m) for m, c in enumerate(coeffs) if c)
+    return max(map(weight, compress(range(len(coeffs)), _stages(coeffs, _moebius_stage))))
 
 
 @dataclass(frozen=True)
@@ -163,12 +169,15 @@ class AffineSubspace:
         return len(self.basis)
 
     def members(self):
-        """Yield the 2^dim member codes."""
-        for bits in range(1 << len(self.basis)):
-            x = self.translation
-            for idx, b in enumerate(self.basis):
-                if bits >> idx & 1:
-                    x ^= b
+        """Yield the 2^dim member codes lazily, in Gray-code order.
+
+        The translation comes first; member k > 0 is member k - 1 XOR
+        basis[j], with j the lowest set bit of k.
+        """
+        x = self.translation
+        yield x
+        for k in range(1, 1 << len(self.basis)):
+            x ^= self.basis[(k & -k).bit_length() - 1]
             yield x
 
 
@@ -213,24 +222,24 @@ def has_disjoint_support_basis(sub: AffineSubspace) -> bool:
 
     A disjoint-support basis is already in reduced echelon form, and the
     reduced echelon basis is unique, so it suffices to test the stored
-    echelon basis for pairwise disjointness.
+    echelon basis: its masks are pairwise disjoint exactly when their
+    union has as many bits as they have together.
     """
-    for a, b in combinations(sub.basis, 2):
-        if a & b:
-            return False
-    return True
+    return weight(reduce(or_, sub.basis, 0)) == sum(map(weight, sub.basis))
 
 
 def split_subspace(sub: AffineSubspace) -> TradePair:
     """Split a (t+1)-dimensional subspace with disjoint basis into a [t]-trade.
 
     Members reached by an even number of basis vectors go to t0, odd to t1.
+    Both classes double per basis vector b: the even ones gain the odd
+    ones XOR b, and the odd ones the even ones XOR b.
     """
     if sub.dimension < 1:
         raise ValueError("split_subspace needs dimension >= 1")
     if not has_disjoint_support_basis(sub):
         raise ValueError("split_subspace needs a disjoint-support basis")
-    t0, t1 = set(), set()
-    for bits, x in enumerate(sub.members()):
-        (t1 if weight(bits) & 1 else t0).add(x)
-    return TradePair(frozenset(t0), frozenset(t1), sub.n)
+    even, odd = [sub.translation], []
+    for b in sub.basis:
+        even, odd = even + [x ^ b for x in odd], odd + [x ^ b for x in even]
+    return TradePair(frozenset(even), frozenset(odd), sub.n)

@@ -3,7 +3,8 @@
 Everything here is written in the most literal O(4^n)-ish style on purpose
 so it shares no code path with the library: double-sum transforms, an int
 transform by the recursive split (f0 + f1, f0 - f1),
-subset-XOR algebraic coefficients, explicit face scans, a Gauss-Jordan
+subset-XOR algebraic coefficients, per-bit subspace members and their
+parity split, pairwise disjointness, explicit face scans, a Gauss-Jordan
 kernel, an all-subsets rank search that does not use the library's
 pruning, a canonical form that builds and compares every dense image
 table, and a stabiliser order that tests every map of the group.
@@ -132,6 +133,31 @@ def naive_anf_coefficients(values) -> list[int]:
 def naive_anf_degree(values) -> int:
     coeffs = naive_anf_coefficients(values)
     return max(weight(m) for m, c in enumerate(coeffs) if c)
+
+
+def naive_members(translation: int, basis) -> list[int]:
+    """Member k is the translation XOR the basis vectors picked by the bits of k, bit by bit."""
+    members = []
+    for k in range(1 << len(basis)):
+        x = translation
+        for i, b in enumerate(basis):
+            if k >> i & 1:
+                x ^= b
+        members.append(x)
+    return members
+
+
+def naive_parity_split(translation: int, basis) -> tuple[set[int], set[int]]:
+    """The members reached by an even and by an odd number of basis vectors, member by member."""
+    even, odd = set(), set()
+    for k, x in enumerate(naive_members(translation, basis)):
+        (odd if weight(k) % 2 else even).add(x)
+    return even, odd
+
+
+def naive_pairwise_disjoint(masks) -> bool:
+    """No two of the masks share a bit, pair by pair."""
+    return all(a & b == 0 for a, b in combinations(masks, 2))
 
 
 def faces(n: int, fixed: int):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -30,7 +32,7 @@ from cubespec import (
     zero_function,
 )
 from cubespec import functions
-from cubespec.functions import _PACK_MIN, _butterfly, _packed, _scaled_ints, _transposed
+from cubespec.functions import _PACK_MIN, _butterfly, _fractions, _packed, _scaled_ints, _transposed
 from conftest import (
     LARGE_PRIME,
     SPELLINGS,
@@ -247,7 +249,8 @@ class TestButterfly:
         # which path ran.
         lengths = []
         stages = functions._stages
-        monkeypatch.setattr(functions, "_stages", lambda vals: lengths.append(len(vals)) or stages(vals))
+        monkeypatch.setattr(functions, "_stages",
+                            lambda vals, *stage: lengths.append(len(vals)) or stages(vals, *stage))
         size = 1 << n
         last = [-1 if bin(x).count("1") % 2 else 1 for x in range(size)]  # the character chi_(2^n - 1)
         m = 63 - n
@@ -318,6 +321,24 @@ class TestPacked:
                     assert _packed(wider, margin) is None, (past, x)
 
 
+@pytest.mark.parametrize("offset", [0, 1])
+def test_interning_stays_linear_on_ints_that_share_a_hash(rng, offset):
+    # CPython hashes an int as its value mod 2^61 - 1, so offset + k * (2^61 - 1)
+    # all hash alike; a hash set of 2^14 of them takes seconds
+    modulus = sys.hash_info.modulus
+    ints = [offset + modulus * rng.randrange(-(1 << 12), 1 << 12) for _ in range(1 << 14)]
+    assert len({hash(c) for c in ints}) <= 2  # the residue and, for k < 0, its negative
+    start = time.perf_counter()
+    got = _fractions(ints, 3)
+    assert time.perf_counter() - start < 1.0
+    assert list(got) == [Fraction(c, 3) for c in ints]
+    # equal values share one Fraction, and only equal values do
+    order = sorted(range(len(ints)), key=ints.__getitem__)
+    assert any(ints[a] == ints[b] for a, b in zip(order, order[1:]))
+    for a, b in zip(order, order[1:]):
+        assert (got[a] is got[b]) == (ints[a] == ints[b])
+
+
 class TestTensor:
     def test_two_sign_pairs_give_a_character(self):
         assert tensor(phi(1), phi(1)).values == character(2, 0b11).values
@@ -344,8 +365,27 @@ class TestTensor:
                 assert lhs.values[(v << 2) | u] == fh.values[u] * gh.values[v]
 
     def test_dimension_overflow(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tensor dimension 25 exceeds the cap 24$"):
             tensor(point_mass(13), point_mass(12))
+
+    def test_summed_dimension_is_checked_before_any_product(self, monkeypatch):
+        factors = (point_mass(8), point_mass(8), point_mass(9))
+        calls = []
+        monkeypatch.setattr(functions, "_scaled_ints", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"^tensor dimension 25 exceeds the cap 24$"):
+            tensor(*factors)
+        assert calls == []
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 4])
+    def test_any_number_of_factors_matches_folded_pointwise_products(self, rng, count):
+        for _ in range(4):
+            factors = [random_rational_function(rng, rng.randrange(4)) for _ in range(count)]
+            expected = [1]
+            for f in factors:
+                expected = naive_tensor(expected, f.values)
+            got = tensor(*factors)
+            assert got.n == sum(f.n for f in factors)
+            assert list(got.values) == expected and all(type(v) is Fraction for v in got.values)
 
 
 class TestRestrict:

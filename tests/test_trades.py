@@ -1,3 +1,4 @@
+import inspect
 import re
 from fractions import Fraction
 
@@ -38,6 +39,9 @@ from oracles import (
     naive_is_zero,
     naive_is_zero_one,
     naive_magnitudes,
+    naive_members,
+    naive_pairwise_disjoint,
+    naive_parity_split,
     naive_sign_split,
 )
 
@@ -275,6 +279,17 @@ class TestAnfDegree:
                 vals[0] = 1
             assert anf_degree(make_function(n, vals)) == naive_anf_degree(vals)
 
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_matches_subset_xor_oracle_on_larger_cubes(self, rng, n):
+        # a random table on a random subcube, so the degree lies between the
+        # subcube's codimension and n; the oracle takes about 4^n steps
+        size = 1 << n
+        fixed = rng.randrange(size)
+        pattern = rng.randrange(size) & fixed
+        vals = [rng.randrange(2) if x & fixed == pattern else 0 for x in range(size)]
+        vals[pattern] = 1
+        assert anf_degree(make_function(n, vals)) == naive_anf_degree(vals)
+
     def test_zero_one_check_matches_fraction_comparisons(self, rng):
         # 0 and 1 in every spelling, and sometimes one entry of another value
         for n in [*range(6)] * 4:
@@ -371,6 +386,59 @@ class TestSplitSubspace:
             split_subspace(AffineSubspace(4, 0, (0b0011, 0b0110)))
         with pytest.raises(ValueError):
             split_subspace(AffineSubspace(3, 1, ()))
+
+
+def random_subspace(rng, dim, disjoint):
+    """An affine subspace of dimension dim in H(n), n in [dim, 16], with a
+    basis of pairwise disjoint masks when disjoint is set; otherwise random
+    independent vectors, whose echelon basis may or may not be disjoint."""
+    n = rng.randrange(dim, 17)
+    coords = rng.sample(range(n), n)
+    if disjoint:
+        cuts = [0, *sorted(rng.sample(range(1, n), dim - 1)), n] if dim else [0]
+        basis = [sum(1 << c for c in coords[a:b] if c == coords[a] or rng.randrange(2))
+                 for a, b in zip(cuts, cuts[1:])]
+    else:
+        basis = []
+        while len(basis) < dim:
+            v = rng.randrange(1, 1 << n)
+            try:
+                AffineSubspace(n, 0, (*basis, v))
+            except ValueError:  # v depends on the vectors drawn so far
+                continue
+            basis.append(v)
+    return AffineSubspace(n, rng.randrange(1 << n), tuple(basis))
+
+
+class TestSubspaceSpans:
+    # members, parity split and disjointness against the member-by-member
+    # oracles, on random echelon bases of dimension 0..10
+    @pytest.mark.parametrize("disjoint", [True, False])
+    def test_match_the_member_by_member_oracles(self, rng, disjoint):
+        for dim in [*range(11)] * 4:
+            sub = random_subspace(rng, dim, disjoint)
+            members = sub.members()
+            assert inspect.isgenerator(members)
+            members = list(members)
+            assert len(set(members)) == len(members) == 1 << dim
+            assert set(members) == set(naive_members(sub.translation, sub.basis))
+            assert members[0] == sub.translation
+            assert all(x ^ y in sub.basis for x, y in zip(members, members[1:]))
+            assert has_disjoint_support_basis(sub) == naive_pairwise_disjoint(sub.basis)
+            if disjoint:
+                assert has_disjoint_support_basis(sub)
+            if dim and has_disjoint_support_basis(sub):
+                tp = split_subspace(sub)
+                assert (set(tp.t0), set(tp.t1)) == naive_parity_split(sub.translation, sub.basis)
+            else:
+                with pytest.raises(ValueError, match="split_subspace needs"):
+                    split_subspace(sub)
+
+    def test_members_follow_the_gray_code(self):
+        # member k flips the basis vector at the lowest set bit of k
+        sub = AffineSubspace(6, 0b100000, (0b000001, 0b000110, 0b011000))
+        assert list(sub.members()) == [0b100000, 0b100001, 0b100111, 0b100110,
+                                       0b111110, 0b111111, 0b111001, 0b111000]
 
 
 class TestAffineSubspace:
