@@ -101,10 +101,12 @@ class VertexFunction:
             raise ValueError(
                 f"value table has length {len(self.values)}, expected {1 << self.n} for n={self.n}"
             )
-        if {*map(type, self.values)} != {Fraction}:
-            for k, v in enumerate(self.values):
-                if type(v) is not int and not isinstance(v, Fraction):
-                    raise ValueError(f"value at index {k} is {type(v).__name__}, expected int or Fraction")
+        types = {*map(type, self.values)}
+        if types != {Fraction}:
+            if not types <= {int, Fraction}:  # a Fraction subclass, or a bad entry to name
+                for k, v in enumerate(self.values):
+                    if type(v) is not int and not isinstance(v, Fraction):
+                        raise ValueError(f"value at index {k} is {type(v).__name__}, expected int or Fraction")
             object.__setattr__(self, "values", _fractions(self.values))
 
     def __add__(self, other: "VertexFunction") -> "VertexFunction":

@@ -16,14 +16,17 @@ witnesses canonicalised one by one.
 
 The support scan and the kernel extraction share one elimination engine,
 _bareiss_step.  A column is one Python int holding row k in the k-th
-fixed-width signed lane, and a step is the fraction-free Bareiss update
-(q * bp - r * c) / d with d the previous pivot (E. H. Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 22, 1968).  After it every entry is a minor of the starting +-1
-matrix, so Hadamard's bound k^(k/2) on a minor of size k fixes a lane
-width that no entry outgrows; the division is exact lane by lane, and
-since a packed column is linear in its lanes, it is exact on the whole int
-even where the product overflowed a lane.  A zero test is `not column`.
+fixed-width signed lane; the columns are one transform, the Walsh
+stages of functions._stages that the spectral layer runs, on the table
+holding the lane of row k at mask rows[k].  A step is the fraction-free
+Bareiss update (q * bp - r * c) / d with d the previous pivot
+(E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968).  After it every entry is
+a minor of the starting +-1 matrix, so Hadamard's bound k^(k/2) on a
+minor of size k fixes a lane width that no entry outgrows; the division
+is exact lane by lane, and since a packed column is linear in its lanes,
+it is exact on the whole int even where the product overflowed a lane.
+A zero test is `not column`.
 The scan counts, not visits, children whose subtrees hold no dependence,
 a child inherits its independent suffix from its parent's chain, and one
 below the bound the directions of the columns give the dependent supports.
@@ -49,7 +52,7 @@ import time
 from dataclasses import dataclass
 
 from .constructions import Blueprint, build, enumerate_blueprints
-from .functions import MAX_DIMENSION, VertexFunction, _check_int, _fractions, _scaled_ints, support_size
+from .functions import MAX_DIMENSION, VertexFunction, _check_int, _fractions, _scaled_ints, _stages, support_size
 from .spectral import SpectrumSet, _check_band, _levels
 
 EXHAUSTIVE_LIMIT = 5
@@ -99,17 +102,15 @@ def _lanes(k: int, count: int) -> tuple[int, int]:
 def _packed_columns(rows, verts, width):
     """The character columns of verts over rows, row k in the k-th signed lane.
 
-    Column x is ones - 2 * odd[x], odd[x] a 1 in the lane of each row u
-    with u & x of odd weight.  Bit b flips the lanes of the rows holding
-    it, so the table doubles per bit: odd[x | 1 << b] = odd[x] ^ flips[b].
+    Column x is sum_k 2^(width k) * chi_rows[k](x): the Walsh transform of
+    the table holding 2^(width k) at rows[k] and 0 elsewhere, over every
+    row and vertex code (H(0) when there are neither).  It runs on
+    functions._stages, not _butterfly, since its entries are far wider
+    than a 64-bit lane and would never pack.
     """
-    lanes = [1 << width * k for k in range(len(rows))]
-    odd = [0]
-    for b in range(max(verts, default=0).bit_length()):
-        flips = sum(lane for lane, u in zip(lanes, rows) if u >> b & 1)
-        odd += [x ^ flips for x in odd]
-    ones = sum(lanes)
-    return [ones - 2 * odd[x] for x in verts]
+    n = max((*rows, *verts), default=0).bit_length()
+    cols = _stages(_table(n, rows, [1 << width * k for k in range(len(rows))]))
+    return [cols[x] for x in verts]
 
 
 def _bareiss_step(cols, r, d, width, bias):

@@ -5,6 +5,10 @@ eigenspace is spanned by the characters chi_u with weight(u) = i.  The
 spectrum of a function is the set of levels carrying a nonzero Fourier
 coefficient, and a function lies "in band [i, j]" when every coefficient
 outside weights i..j vanishes (so the zero function is in every band).
+Every character table and every level question comes from the
+transform: character(n, u) is the transform of the point mass at u, and
+the spectrum, the band test and the level projection read the transform
+of the table scaled to ints.
 
 check_eigen_relation tests the eigenvalue relation from its definition,
 without the transform, but on the transform's stage design: one stage
@@ -16,7 +20,6 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from operator import add
 
@@ -30,7 +33,6 @@ from .functions import (
     _scaled_ints,
     _transposed,
     restrict,
-    weight,
 )
 
 
@@ -66,12 +68,16 @@ class SpectrumSet:
 
 
 def character(n: int, u: int) -> VertexFunction:
-    """The character chi_u(x) = (-1)^(u.x), a +-1 valued function on H(n)."""
+    """The character chi_u(x) = (-1)^(u.x), a +-1 valued function on H(n).
+
+    The Walsh transform of the point mass at u, so its table holds two
+    Fractions, each shared by every vertex that takes its value.
+    """
     _check_int("dimension", n, 0, MAX_DIMENSION)
     _check_int("vertex code", u, 0, (1 << n) - 1)
-    one = Fraction(1)
-    vals = tuple(-one if weight(u & x) & 1 else one for x in range(1 << n))
-    return VertexFunction(n, vals)
+    spike = [0] * (1 << n)
+    spike[u] = 1
+    return VertexFunction(n, _fractions(_butterfly(spike)))
 
 
 def eigenvalue_of_level(n: int, i: int) -> int:

@@ -12,9 +12,12 @@ as an independently testable operation.
 No face is enumerated: every face fixing the coordinates of P sums g to
 zero exactly when g's transform vanishes at every mask inside P, so the
 faces fixing m coordinates all do exactly when g has no level <= m.
-Both face tests ask that of an int table through _levels_above, whose
-work follows the table's support.  tests/test_trades.py checks them
-against the face scans of tests/oracles.py.
+For a function that is the band test: face_sums_vanish(f, i) is
+spectral.in_band(f, i, n), on the dense transform.  is_trade asks it of
+the +-1 table of a trade pair through _levels_above, whose work follows
+the pair's support, so a pair on H(40), where no dense table exists, is
+answered at once.  tests/test_trades.py checks both against the face
+scans of tests/oracles.py.
 
 The other steps also run over whole tables and sets.  anf_degree runs the
 Z_2 Moebius transform on the stage loop of the Walsh transform,
@@ -31,6 +34,7 @@ from itertools import compress
 from operator import or_, xor
 
 from .functions import VertexFunction, _check_int, _scaled_ints, _stages, weight
+from .spectral import in_band
 
 
 def _levels_above(g: dict[int, int], t: int) -> bool:
@@ -65,12 +69,11 @@ def face_sums_vanish(f: VertexFunction, i: int) -> bool:
 
     This holds for every member of the level-i eigenspace and is the
     face-level mechanism behind the trade structure of optimal functions.
-    Computed as: every level of f's table, scaled to ints, is > i - 1;
-    checked against the face scan tests.oracles.faces.
+    It is the band test: f lies in band [i, n].  Checked against the face
+    scan tests.oracles.faces.
     """
     _check_int("level", i, 1, f.n)
-    ints, _ = _scaled_ints(f.values)
-    return _levels_above({x: v for x, v in enumerate(ints) if v}, i - 1)
+    return in_band(f, i, f.n)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,11 @@ def sign(u: int, x: int) -> int:
     return -1 if weight(u & x) % 2 else 1
 
 
+def naive_character(n: int, u: int) -> list[int]:
+    """The values of chi_u on H(n), one parity of u AND x per vertex x."""
+    return [sign(u, x) for x in range(1 << n)]
+
+
 def naive_walsh(f: VertexFunction) -> VertexFunction:
     size = 1 << f.n
     vals = [

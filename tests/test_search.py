@@ -171,6 +171,29 @@ class TestPackedColumns:
     def test_no_vertices(self):
         assert search._packed_columns([1, 2], [], 4) == []
 
+    def test_no_rows_on_vertex_zero(self):
+        # H(0): the empty constraint matrix over the single vertex
+        assert search._packed_columns([], [0], 4) == self.oracle([], [0], 4) == [0]
+
+    def test_vertices_above_the_highest_row_bit(self, rng):
+        for _ in range(50):
+            n = rng.randint(1, 5)
+            rows = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+            top = max(rows).bit_length()
+            verts = sorted(rng.sample(range(1 << top, 1 << top + 3), rng.randint(1, 8)))
+            width = rng.randint(2, 9)
+            assert search._packed_columns(rows, verts, width) == self.oracle(rows, verts, width), (rows, verts)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_every_band(self, n, rng):
+        # every scan's columns, over the whole cube and over a support through 0
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                rows = search._rows(n, range(i, j + 1))
+                width = search._lanes(len(rows), len(rows))[0]
+                verts = range(1 << n) if n < 8 else [0, *sorted(rng.sample(range(1, 1 << n), 15))]
+                assert search._packed_columns(rows, verts, width) == self.oracle(rows, verts, width), (i, j)
+
 
 class TestKernelBasis:
     @staticmethod

@@ -39,6 +39,7 @@ from conftest import LARGE_PRIME, random_band_function, random_function, random_
 from oracles import (
     minkowski,
     naive_coefficient,
+    naive_character,
     naive_eigen_relation,
     naive_level_projection,
     naive_walsh,
@@ -54,6 +55,25 @@ def test_character_values():
     assert character(3, 0b111).values[0b101] == 1
     with pytest.raises(ValueError):
         character(2, 4)
+
+
+class TestCharacter:
+    def test_every_character_up_to_n8_matches_the_parity_oracle(self):
+        for n in range(9):
+            for u in range(1 << n):
+                assert list(character(n, u).values) == naive_character(n, u), (n, u)
+
+    def test_sampled_characters_n9_to_n14_match_the_parity_oracle(self, rng):
+        for n in range(9, 15):
+            for u in (0, (1 << n) - 1, *rng.sample(range(1, (1 << n) - 1), 3)):
+                assert list(character(n, u).values) == naive_character(n, u), (n, u)
+
+    def test_table_shares_one_fraction_per_value(self, rng):
+        for n in (0, 1, 5, 9, 12):
+            for u in {0, (1 << n) - 1, rng.randrange(1 << n)}:
+                values = character(n, u).values
+                assert len({id(v) for v in values}) == len(set(values)) <= 2, (n, u)
+                assert all(type(v) is Fraction for v in values)
 
 
 def test_eigenvalue_of_level():

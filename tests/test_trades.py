@@ -1,5 +1,6 @@
 import inspect
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from cubespec import (
     enumerate_blueprints,
     face_sums_vanish,
     has_disjoint_support_basis,
+    in_band,
     is_trade,
     level_project,
     make_function,
@@ -31,7 +33,7 @@ from cubespec import (
     three_values_check,
     zero_function,
 )
-from conftest import SPELLINGS, mixed_table, random_band_function
+from conftest import SPELLINGS, mixed_table, random_band_function, random_function
 from oracles import (
     faces,
     naive_anf_degree,
@@ -119,6 +121,39 @@ class TestFaceSums:
                     assert face_sums_vanish(g, i) == expect
                     outcomes.add(expect)
         assert outcomes == {True, False}
+
+    def test_is_the_band_test(self, rng):
+        kinds = Counter()
+        for _ in range(60):
+            n = rng.randrange(1, 9)
+            kind = rng.choice(["dense", "sparse", "zero"])
+            if kind == "dense":
+                f = random_function(rng, n)
+            elif kind == "sparse":
+                f = _sparse_function(rng, n)
+            else:
+                f = zero_function(n)
+            answers = [face_sums_vanish(f, i) for i in range(1, n + 1)]
+            assert answers == [in_band(f, i, n) for i in range(1, n + 1)], (kind, f)
+            kinds[kind, any(answers)] += 1
+        assert {k for k, _ in kinds} == {"dense", "sparse", "zero"}
+        assert kinds["sparse", True] and kinds["zero", True], kinds
+
+
+def _sparse_function(rng, n):
+    """A few nonzero entries, or the signs of a random subcube's parity split, which pass level tests."""
+    if rng.random() < 0.5:
+        vals = [0] * (1 << n)
+        for x in rng.sample(range(1 << n), rng.randint(1, min(4, 1 << n))):
+            vals[x] = rng.choice([-2, -1, 1, 3])
+        return make_function(n, vals)
+    dims = rng.sample(range(n), rng.randint(1, n))
+    base = rng.randrange(1 << n) & ~sum(1 << d for d in dims)
+    vals = [0] * (1 << n)
+    for bits in range(1 << len(dims)):
+        x = base | sum(1 << d for k, d in enumerate(dims) if bits >> k & 1)
+        vals[x] = -1 if bin(bits).count("1") & 1 else 1
+    return make_function(n, vals)
 
 
 class TestIsTrade:
