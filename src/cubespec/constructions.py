@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .functions import MAX_DIMENSION, VertexFunction, _check_int, tensor
+from .functions import MAX_DIMENSION, VertexFunction, _check_int, _from_ints, tensor
 from .spectral import SpectrumSet, _check_band
 
 LOWER = "LOWER"
@@ -27,10 +26,10 @@ UPPER = "UPPER"
 def _block(name: str, k: int, k_min: int, top: int) -> VertexFunction:
     """name's block on H(k): top at the all-ones vertex, then +1 at the all-zeros one."""
     _check_int(f"{name} size", k, k_min, MAX_DIMENSION)
-    vals = [Fraction(0)] * (1 << k)
-    vals[-1] = Fraction(top)
-    vals[0] = Fraction(1)
-    return VertexFunction(k, tuple(vals))
+    vals = [0] * (1 << k)
+    vals[-1] = top
+    vals[0] = 1
+    return _from_ints(k, vals)
 
 
 def phi(k: int) -> VertexFunction:

@@ -2,12 +2,15 @@
 
 Vertices of H(n) are the elements of Z_2^n, encoded as integer bitmasks in
 [0, 2^n) with coordinate 1 in the least significant bit.  A VertexFunction
-stores one Fraction per vertex (ints are converted, floats and other types
-rejected), so every transform and every zero test in this package is exact.
-Dense-table arithmetic scales a table once by the lcm of its denominators and
-runs on Python ints; the result gets one Fraction per distinct value, shared
-by every vertex that holds it (_fractions).  Zero and sign tests read
-truthiness and numerators, never Fraction comparisons.
+stores its table as integers over one positive common denominator, in
+lowest terms (_int_table), so every transform and every zero test in this
+package is exact, and equality and hashing read the integers.  Producers
+build their results straight from ints (_from_ints), and consumers read
+the stored ints (_int_table): no table is scaled per call.  The public
+values tuple holds one Fraction per distinct value, shared by every vertex
+that holds it, and is built on first read (_fractions); a Fraction tuple
+handed to the constructor is kept as given.  Zero and sign tests read the
+ints, never Fraction comparisons.
 
 The Walsh-Hadamard transform is stored unnormalized:
 
@@ -35,10 +38,10 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import compress, groupby, repeat
-from operator import add, mul, sub
+from operator import add, methodcaller, mul, sub
 
 MAX_DIMENSION = 24
 _INT_RE = re.compile(r"-?\d+", re.ASCII)
@@ -47,6 +50,7 @@ _RATIONAL_RE = re.compile(rf"({_INT_RE.pattern})(?:/([1-9]\d*))?", re.ASCII)
 # below it, packing costs more than the stages it saves
 _PACK_MIN = 1 << 8
 _LANE_TOP = bytes(7) + b"\x80"  # one little-endian 64-bit lane with its top bit set
+_as_ratio = methodcaller("as_integer_ratio")  # of an int and of a Fraction
 _HASH_MODULUS = sys.hash_info.modulus  # an int hashes to its value mod this, 2^61 - 1 on 64-bit builds
 
 
@@ -82,32 +86,63 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class VertexFunction:
     """A function H(n) -> Q given by its dense value table in vertex-code order.
 
-    Instances are immutable: values is stored as a tuple whatever
-    sequence is given (a tuple as is, without a copy), and all operations
-    below return new objects, so values may be shared freely across threads.
+    Built from a sequence of ints and Fractions (floats and other types
+    rejected).  The function holds its table as ints c over one positive
+    denominator d, value k being c[k] / d, in lowest terms: d is the least
+    such denominator, so two functions are equal exactly when their n, c
+    and d are.  values is the table as a tuple of Fractions, one object per
+    distinct value: a Fraction tuple given to the constructor is kept as
+    is, without a copy, and any other table builds it from the ints on
+    first read.  Instances are immutable, and all operations below return
+    new objects, so a function may be shared freely across threads.
     """
 
-    n: int
-    values: tuple[Fraction, ...]
+    __match_args__ = ("n", "values")
 
-    def __post_init__(self):
-        _check_int("dimension", self.n, 0, MAX_DIMENSION)
-        object.__setattr__(self, "values", tuple(self.values))  # a tuple is kept, not copied
-        if len(self.values) != 1 << self.n:
-            raise ValueError(
-                f"value table has length {len(self.values)}, expected {1 << self.n} for n={self.n}"
-            )
-        types = {*map(type, self.values)}
-        if types != {Fraction}:
-            if not types <= {int, Fraction}:  # a Fraction subclass, or a bad entry to name
-                for k, v in enumerate(self.values):
-                    if type(v) is not int and not isinstance(v, Fraction):
-                        raise ValueError(f"value at index {k} is {type(v).__name__}, expected int or Fraction")
-            object.__setattr__(self, "values", _fractions(self.values))
+    def __init__(self, n: int, values):
+        _check_int("dimension", n, 0, MAX_DIMENSION)
+        values = tuple(values)  # a tuple is kept, not copied
+        _check_length(n, values)
+        types = {*map(type, values)}
+        if types == {int}:
+            self._set(n, values, 1, None)
+            return
+        if not types <= {int, Fraction}:  # a Fraction subclass, or a bad entry to name
+            for k, v in enumerate(values):
+                if type(v) is not int and not isinstance(v, Fraction):
+                    raise ValueError(f"value at index {k} is {type(v).__name__}, expected int or Fraction")
+        self._set(n, *_scaled_ints(values), values if types == {Fraction} else None)
+
+    def _set(self, n: int, ints: tuple[int, ...], d: int, values) -> None:
+        for name, value in (("n", n), ("_ints", ints), ("_den", d), ("_values", values)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The table as Fractions, built from the ints on first read."""
+        if self._values is None:
+            object.__setattr__(self, "_values", _fractions(self._ints, self._den))
+        return self._values
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self._den, self._ints) == (other.n, other._den, other._ints)
+
+    def __hash__(self):
+        return hash((self.n, self._den, self._ints))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(n={self.n!r}, values={self.values!r})"
 
     def __add__(self, other: "VertexFunction") -> "VertexFunction":
         return self._entrywise(add, other)
@@ -117,22 +152,55 @@ class VertexFunction:
 
     def scale(self, c) -> "VertexFunction":
         c = as_fraction(c)
-        ints, d = _scaled_ints(self.values)
-        return VertexFunction(self.n, _fractions(list(map(c.numerator.__mul__, ints)), d * c.denominator))
+        ints, d = _int_table(self)
+        return _from_ints(self.n, map(c.numerator.__mul__, ints), d * c.denominator)
 
     def _entrywise(self, op, other: "VertexFunction") -> "VertexFunction":
-        # both tables scaled to ints over one common denominator
+        # both tables brought to the lcm of their denominators
         self._check_same_cube(other)
-        ints, d = _scaled_ints(self.values + other.values)
-        size = len(self.values)
-        return VertexFunction(self.n, _fractions(list(map(op, ints[:size], ints[size:])), d))
+        tables = _int_table(self), _int_table(other)
+        d = math.lcm(*(q for _, q in tables))
+        a, b = (ints if q == d else map((d // q).__mul__, ints) for ints, q in tables)
+        return _from_ints(self.n, map(op, a, b), d)
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return not any(_int_table(self)[0])
 
     def _check_same_cube(self, other: "VertexFunction") -> None:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
+
+
+def _check_length(n: int, table: tuple) -> None:
+    if len(table) != 1 << n:
+        raise ValueError(f"value table has length {len(table)}, expected {1 << n} for n={n}")
+
+
+def _from_ints(n: int, ints, d: int = 1) -> VertexFunction:
+    """The function on H(n) with table ints[k] / d, for an iterable of ints and a nonzero int d.
+
+    The one producer path: n and the length are checked as the constructor
+    checks them, and the table is stored in lowest terms over a positive
+    denominator, dividing out g = gcd(d, *ints) with the sign of d.  That
+    division runs once per distinct entry (_per_value), so the divided
+    table holds one int object per distinct value, as values holds one
+    Fraction.
+    """
+    _check_int("dimension", n, 0, MAX_DIMENSION)
+    ints = tuple(ints)
+    _check_length(n, ints)
+    if d != 1:
+        g = math.gcd(d, *ints) if d > 0 else -math.gcd(d, *ints)
+        if g != 1:
+            ints, d = _per_value(ints, g.__rfloordiv__), d // g
+    f = object.__new__(VertexFunction)
+    f._set(n, ints, d, None)
+    return f
+
+
+def _int_table(f: VertexFunction) -> tuple[tuple[int, ...], int]:
+    """The one accessor of the stored table: ints c and the least d > 0 with f.values[k] == c[k] / d."""
+    return f._ints, f._den
 
 
 def make_function(n: int, values) -> VertexFunction:
@@ -140,7 +208,7 @@ def make_function(n: int, values) -> VertexFunction:
 
     Accepts ints, Fractions and 'p' / 'p/q' strings; floats are rejected.
     Only the entries that are neither int nor Fraction go through
-    as_fraction; VertexFunction converts the ints.
+    as_fraction; VertexFunction scales the table to ints.
     """
     exact = (int, Fraction)
     return VertexFunction(n, tuple(v if type(v) in exact else as_fraction(v) for v in values))
@@ -152,32 +220,45 @@ def zero_function(n: int) -> VertexFunction:
 
 def constant_function(n: int, c) -> VertexFunction:
     _check_int("dimension", n, 0, MAX_DIMENSION)
-    return VertexFunction(n, (as_fraction(c),) * (1 << n))
+    c = as_fraction(c)
+    return _from_ints(n, (c.numerator,) * (1 << n), c.denominator)
 
 
-def _scaled_ints(values) -> tuple[list[int], int]:
-    """Integers c and the lcm d of the denominators, with values[k] == c[k] / d."""
-    ratios = list(map(Fraction.as_integer_ratio, values))
+def _scaled_ints(values) -> tuple[tuple[int, ...], int]:
+    """Integers c and the lcm d of the denominators, with values[k] == c[k] / d.
+
+    values holds ints and Fractions.  Each Fraction is in lowest terms, so
+    c and d are too: for each prime of d, the entry p / q whose q holds its
+    highest power has p and d // q prime to it, and so has p * (d // q).
+    """
+    ratios = list(map(_as_ratio, values))
     d = math.lcm(*{q for _, q in ratios})
-    return [p * (d // q) for p, q in ratios], d
+    return tuple([p * (d // q) for p, q in ratios]), d
 
 
 def _fractions(ints, d: int = 1) -> tuple[Fraction, ...]:
-    """The table ints[k] / d as Fractions, one Fraction per distinct entry.
+    """The table ints[k] / d as Fractions, one Fraction per distinct entry (_per_value).
 
-    Entries may be ints or Fractions; d is a nonzero int.  Equal entries
-    share one Fraction object, so a table of a few distinct values costs a
-    few Fractions whatever its length.  Entries below 2^61 - 1 in magnitude
-    hash to themselves, so a set interns them in linear time.  Wider ints
-    hash to their value mod 2^61 - 1, and a table of them sharing one
-    residue would fill one hash bucket, so such tables intern by sorting and
-    each entry finds its Fraction by bisection.
+    Entries are ints and d is a nonzero int, so a table of a few distinct
+    values costs a few Fractions whatever its length.
+    """
+    return _per_value(ints, lambda c: Fraction(c, d))
+
+
+def _per_value(ints, make) -> tuple:
+    """The table make(c) for each entry c of ints, with one make call per distinct c.
+
+    Equal entries share the one object made for them.  Entries below
+    2^61 - 1 in magnitude hash to themselves, so a set interns them in
+    linear time.  Wider ints hash to their value mod 2^61 - 1, and a table
+    of them sharing one residue would fill one hash bucket, so such tables
+    intern by sorting and each entry finds its object by bisection.
     """
     if -_HASH_MODULUS < min(ints) and max(ints) < _HASH_MODULUS:
-        value = {c: Fraction(c, d) for c in set(ints)}
+        value = {c: make(c) for c in set(ints)}
         return tuple(map(value.__getitem__, ints))
     distinct = [c for c, _ in groupby(sorted(ints))]
-    value = [Fraction(c, d) for c in distinct]
+    value = list(map(make, distinct))
     return tuple(map(value.__getitem__, map(bisect_left, repeat(distinct), ints)))
 
 
@@ -276,18 +357,18 @@ def _butterfly(vals: list[int]) -> list[int]:
 def walsh_transform(f: VertexFunction) -> VertexFunction:
     """Unnormalized coefficient table: result[u] = sum_x f(x) * (-1)^(u.x).
 
-    An O(n * 2^n) integer butterfly on the table scaled by the lcm d of its
-    denominators, divided back by d.  Applying it twice multiplies by 2^n;
-    the normalized coefficient <f, chi_u> equals result[u] / 2^n.
+    An O(n * 2^n) integer butterfly on the stored ints, over the stored
+    denominator.  Applying it twice multiplies by 2^n; the normalized
+    coefficient <f, chi_u> equals result[u] / 2^n.
     """
-    ints, d = _scaled_ints(f.values)
-    return VertexFunction(f.n, _fractions(_butterfly(ints), d))
+    ints, d = _int_table(f)
+    return _from_ints(f.n, _butterfly(list(ints)), d)
 
 
 def inverse_walsh(fhat: VertexFunction) -> VertexFunction:
     """Inverse of walsh_transform: f(x) = (1/2^n) * sum_u fhat(u) * (-1)^(u.x)."""
-    ints, d = _scaled_ints(fhat.values)
-    return VertexFunction(fhat.n, _fractions(_butterfly(ints), d << fhat.n))
+    ints, d = _int_table(fhat)
+    return _from_ints(fhat.n, _butterfly(list(ints)), d << fhat.n)
 
 
 def tensor(*factors: VertexFunction) -> VertexFunction:
@@ -295,19 +376,18 @@ def tensor(*factors: VertexFunction) -> VertexFunction:
 
     For two factors f1 on H(m) and f2, the value at code y*2^m + x is
     f1(x)*f2(y).  The cap on the summed dimension is checked before any
-    product; the factors' tables, scaled to ints, are folded into one
-    table over the product of their common denominators, which becomes
-    Fractions once.
+    product; the factors' int tables are folded into one table over the
+    product of their denominators.
     """
     n = sum(f.n for f in factors)
     if n > MAX_DIMENSION:
         raise ValueError(f"tensor dimension {n} exceeds the cap {MAX_DIMENSION}")
     table, d = [1], 1
     for f in factors:
-        ints, q = _scaled_ints(f.values)
+        ints, q = _int_table(f)
         table = [x * y for y in ints for x in table]
         d *= q
-    return VertexFunction(n, _fractions(table, d))
+    return _from_ints(n, table, d)
 
 
 def restrict(f: VertexFunction, r: int, k: int) -> VertexFunction:
@@ -317,26 +397,28 @@ def restrict(f: VertexFunction, r: int, k: int) -> VertexFunction:
     _check_int("coordinate", r, 1, f.n)
     _check_int("bit", k, 0, 1)
     b = r - 1
-    return VertexFunction(f.n - 1, tuple(v for x, v in enumerate(f.values) if (x >> b & 1) == k))
+    ints, d = _int_table(f)
+    return _from_ints(f.n - 1, [c for x, c in enumerate(ints) if (x >> b & 1) == k], d)
 
 
 def parity_twist(f: VertexFunction) -> VertexFunction:
     """Multiply pointwise by (-1)^(weight of the vertex); an involution."""
-    ints, d = _scaled_ints(f.values)
-    return VertexFunction(f.n, _fractions([-c if weight(x) & 1 else c for x, c in enumerate(ints)], d))
+    ints, d = _int_table(f)
+    return _from_ints(f.n, [-c if weight(x) & 1 else c for x, c in enumerate(ints)], d)
 
 
 def inner_product(f: VertexFunction, g: VertexFunction) -> Fraction:
     """Normalized inner product (1/2^n) * sum_x f(x)g(x)."""
     f._check_same_cube(g)
-    (a, da), (b, db) = _scaled_ints(f.values), _scaled_ints(g.values)
+    (a, da), (b, db) = _int_table(f), _int_table(g)
     return Fraction(sum(map(mul, a, b)), da * db << f.n)
 
 
 def support(f: VertexFunction) -> frozenset[int]:
     """Vertex codes where f is nonzero (exact zero test)."""
-    return frozenset(compress(range(1 << f.n), f.values))
+    return frozenset(compress(range(1 << f.n), _int_table(f)[0]))
 
 
 def support_size(f: VertexFunction) -> int:
-    return sum(map(bool, f.values))
+    ints = _int_table(f)[0]
+    return len(ints) - ints.count(0)

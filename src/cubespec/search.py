@@ -18,7 +18,8 @@ The support scan and the kernel extraction share one elimination engine,
 _bareiss_step.  A column is one Python int holding row k in the k-th
 fixed-width signed lane; the columns are one transform, the Walsh
 stages of functions._stages that the spectral layer runs, on the table
-holding the lane of row k at mask rows[k].  A step is the fraction-free
+holding the lane of row k at mask rows[k], folded onto the bits the
+vertices use.  A step is the fraction-free
 Bareiss update (q * bp - r * c) / d with d the previous pivot
 (E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 22, 1968).  After it every entry is
@@ -31,7 +32,8 @@ The scan counts, not visits, children whose subtrees hold no dependence,
 a child inherits its independent suffix from its parent's chain, and one
 below the bound the directions of the columns give the dependent supports.
 Kernel vectors, their combinations and their level tests stay Python
-ints; Fractions are built only for the VertexFunctions handed back.
+ints, and the VertexFunctions handed back are built from them
+(functions._from_ints).
 Canonical forms compare integer tables too.  They walk the distinct
 arrangements of the coordinates' columns over the support depth first,
 from the top bit down, and cut every prefix whose placed bits already
@@ -52,7 +54,7 @@ import time
 from dataclasses import dataclass
 
 from .constructions import Blueprint, build, enumerate_blueprints
-from .functions import MAX_DIMENSION, VertexFunction, _check_int, _fractions, _scaled_ints, _stages, support_size
+from .functions import MAX_DIMENSION, VertexFunction, _check_int, _from_ints, _int_table, _stages, support_size
 from .spectral import SpectrumSet, _check_band, _levels
 
 EXHAUSTIVE_LIMIT = 5
@@ -103,13 +105,18 @@ def _packed_columns(rows, verts, width):
     """The character columns of verts over rows, row k in the k-th signed lane.
 
     Column x is sum_k 2^(width k) * chi_rows[k](x): the Walsh transform of
-    the table holding 2^(width k) at rows[k] and 0 elsewhere, over every
-    row and vertex code (H(0) when there are neither).  It runs on
+    the table holding 2^(width k) at rows[k] and 0 elsewhere.  The vertices
+    use only the low h bits, h = max(verts).bit_length() (H(0) for the
+    vertex 0 alone), and chi_u(x) = chi_(u mod 2^h)(x) there, so row u
+    adds its lane into entry u mod 2^h of a table on H(h).  It runs on
     functions._stages, not _butterfly, since its entries are far wider
     than a 64-bit lane and would never pack.
     """
-    n = max((*rows, *verts), default=0).bit_length()
-    cols = _stages(_table(n, rows, [1 << width * k for k in range(len(rows))]))
+    mask = (1 << max(verts, default=0).bit_length()) - 1
+    table = [0] * (mask + 1)
+    for k, u in enumerate(rows):
+        table[u & mask] += 1 << width * k
+    cols = _stages(table)
     return [cols[x] for x in verts]
 
 
@@ -316,7 +323,7 @@ def _table(n, supp, vec) -> list[int]:
 
 def _function(n, supp, vec) -> VertexFunction:
     """The function on H(n) holding vec on the support and 0 elsewhere."""
-    return VertexFunction(n, tuple(_table(n, supp, vec)))
+    return _from_ints(n, _table(n, supp, vec))
 
 
 def _normalize_witness(ints) -> list[int]:
@@ -411,8 +418,7 @@ def _canonical(n, codes, ints) -> list[int]:
 
 def _unit_lead(n, table) -> VertexFunction:
     """The int table divided by its first nonzero entry."""
-    lead = next(filter(None, table))
-    return VertexFunction(n, _fractions(table, lead))
+    return _from_ints(n, table, next(filter(None, table)))
 
 
 def canonical_form(f: VertexFunction) -> VertexFunction:
@@ -429,10 +435,11 @@ def canonical_form(f: VertexFunction) -> VertexFunction:
     n = f.n
     if n > CANONICAL_LIMIT:
         raise ValueError(f"canonical_form sweeps the full group only for n <= {CANONICAL_LIMIT}")
-    codes = [x for x, v in enumerate(f.values) if v]
+    ints = _int_table(f)[0]
+    codes = [x for x, c in enumerate(ints) if c]
     if not codes:
         raise ValueError("canonical_form needs a nonzero function")
-    return _unit_lead(n, _canonical(n, codes, _scaled_ints([f.values[x] for x in codes])[0]))
+    return _unit_lead(n, _canonical(n, codes, [ints[x] for x in codes]))
 
 
 def equivalent(f: VertexFunction, g: VertexFunction) -> bool:
@@ -441,7 +448,7 @@ def equivalent(f: VertexFunction, g: VertexFunction) -> bool:
     Decided by canonical forms alone, so only for nonzero f, g and n <= 8.
     """
     f._check_same_cube(g)
-    return canonical_form(f).values == canonical_form(g).values
+    return canonical_form(f) == canonical_form(g)
 
 
 @dataclass(frozen=True)
@@ -544,7 +551,7 @@ def min_support_exact_spectrum(
     size, _, table = best or (None, None, None)
     return SearchReport(
         n=n, levels=tuple(sorted(target)),
-        min_support=size, witness=None if best is None else VertexFunction(n, tuple(table)),
+        min_support=size, witness=None if best is None else _from_ints(n, table),
         notes=() if best else ("no witness within the size cap",),
         elapsed=time.perf_counter() - start, nodes_examined=nodes,
     )
@@ -574,9 +581,8 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     built = [build(bp) for bp in bps]
     forms = [canonical_form(f) for f in built]
     band = frozenset(range(i, j + 1))
-    in_band = all(support_size(f) == size and _levels(_scaled_ints(f.values)[0]) <= band for f in built)
-    bp_values = [f.values for f in forms]
-    distinct = len(set(bp_values)) == len(bp_values)
+    in_band = all(support_size(f) == size and _levels(list(_int_table(f)[0])) <= band for f in built)
+    distinct = len(set(forms)) == len(forms)
     if in_band and distinct and sum(bp.placements for bp in bps) == len(supports):
         classes, witness = forms, _witness(rows, supports[0])
     else:
@@ -585,8 +591,8 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
         tables = {tuple(_canonical(n, supp, w)) for supp, w in zip(supports, witnesses)}
         classes, witness = [_unit_lead(n, t) for t in tables], witnesses[0]
     classes = tuple(sorted(classes, key=lambda c: c.values))
-    class_index = {c.values: idx for idx, c in enumerate(classes)}
-    matched = tuple(zip(bps, map(class_index.get, bp_values)))
+    class_index = {c: idx for idx, c in enumerate(classes)}
+    matched = tuple(zip(bps, map(class_index.get, forms)))
     mismatches = [
         f"blueprint {bp.case} odd={bp.odd_parts} even={bp.even_parts} "
         f"r={bp.remainder} matches no search class"

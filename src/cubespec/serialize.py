@@ -10,24 +10,20 @@ All emitters sort object keys so output is byte-stable.
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 
 from .constructions import Blueprint
-from .functions import VertexFunction, _check_int, fraction_from_str
+from .functions import VertexFunction, _check_int, _from_ints, _int_table, _per_value, fraction_from_str
 from .search import SearchReport
 from .spectral import SpectrumSet
 from .trades import AffineSubspace, TradePair
 
 
 def function_to_dict(f: VertexFunction) -> dict:
-    """Encode a function, formatting each distinct value object once.
-
-    Tables share one Fraction per distinct value, so the strings are keyed
-    by object identity, which costs no Fraction hash.
-    """
-    ids = list(map(id, f.values))
-    distinct = dict(zip(ids, f.values))
-    text = dict(zip(distinct, map(str, distinct.values())))
-    return {"n": f.n, "values": list(map(text.__getitem__, ids))}
+    """Encode a function from its stored ints, formatting each distinct value once."""
+    ints, d = _int_table(f)
+    return {"n": f.n, "values": list(_per_value(ints, lambda c: str(Fraction(c, d))))}
 
 
 def fields(payload, **types) -> list:
@@ -52,15 +48,18 @@ def fields(payload, **types) -> list:
 def function_from_dict(payload: dict) -> VertexFunction:
     """Decode a function, parsing each distinct value string once.
 
-    A table with a non-string entry, which may be unhashable, is parsed
-    entry by entry, so it fails at its first bad entry as an all-string
-    table does.
+    The table is built straight from ints: each distinct string becomes
+    its numerator scaled to the lcm d of the denominators, one int object
+    shared by its entries.  A table with a non-string entry, which may be
+    unhashable, is parsed entry by entry, so it fails at its first bad
+    entry as an all-string table does.
     """
     n, values = fields(payload, n=int, values=list)
-    parse = fraction_from_str
-    if {*map(type, values)} <= {str}:
-        parse = {text: fraction_from_str(text) for text in dict.fromkeys(values)}.__getitem__
-    return VertexFunction(n, tuple(map(parse, values)))
+    distinct = dict.fromkeys(values) if {*map(type, values)} <= {str} else values
+    ratios = [fraction_from_str(text).as_integer_ratio() for text in distinct]
+    d = math.lcm(*{q for _, q in ratios})
+    scaled = dict(zip(distinct, [p * (d // q) for p, q in ratios]))
+    return _from_ints(n, map(scaled.__getitem__, values), d)
 
 
 def vertex_to_bitstring(code: int, n: int) -> str:

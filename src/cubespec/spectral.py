@@ -8,7 +8,7 @@ outside weights i..j vanishes (so the zero function is in every band).
 Every character table and every level question comes from the
 transform: character(n, u) is the transform of the point mass at u, and
 the spectrum, the band test and the level projection read the transform
-of the table scaled to ints.
+of the function's stored int table (functions._int_table).
 
 check_eigen_relation tests the eigenvalue relation from its definition,
 without the transform, but on the transform's stage design: one stage
@@ -28,9 +28,9 @@ from .functions import (
     VertexFunction,
     _butterfly,
     _check_int,
-    _fractions,
+    _from_ints,
+    _int_table,
     _packed,
-    _scaled_ints,
     _transposed,
     restrict,
 )
@@ -70,14 +70,15 @@ class SpectrumSet:
 def character(n: int, u: int) -> VertexFunction:
     """The character chi_u(x) = (-1)^(u.x), a +-1 valued function on H(n).
 
-    The Walsh transform of the point mass at u, so its table holds two
-    Fractions, each shared by every vertex that takes its value.
+    The Walsh transform of the point mass at u, built from ints, so its
+    values hold two Fractions, each shared by every vertex that takes its
+    value.
     """
     _check_int("dimension", n, 0, MAX_DIMENSION)
     _check_int("vertex code", u, 0, (1 << n) - 1)
     spike = [0] * (1 << n)
     spike[u] = 1
-    return VertexFunction(n, _fractions(_butterfly(spike)))
+    return _from_ints(n, _butterfly(spike))
 
 
 def eigenvalue_of_level(n: int, i: int) -> int:
@@ -94,29 +95,29 @@ def _levels(ints: list[int]) -> frozenset[int]:
 
 def spectrum(f: VertexFunction) -> SpectrumSet:
     """Levels with a nonzero Fourier coefficient; empty for the zero function."""
-    return SpectrumSet(f.n, _levels(_scaled_ints(f.values)[0]))
+    return SpectrumSet(f.n, _levels(list(_int_table(f)[0])))
 
 
 def level_project(f: VertexFunction, i: int) -> VertexFunction:
     """Component of f in the level-i eigenspace; the projections sum to f.
 
-    Transforms, masks and transforms back the table scaled to ints by the
-    lcm d of its denominators, then divides by d * 2^n.
+    Transforms, masks and transforms back the stored ints of f, then
+    divides by its denominator d times 2^n.
     """
     _check_int("level", i, 0, f.n)
-    ints, d = _scaled_ints(f.values)
-    coeffs = _butterfly(ints)
+    ints, d = _int_table(f)
+    coeffs = _butterfly(list(ints))
     masked = [0] * len(coeffs)
     for u in compress(range(len(coeffs)), coeffs):
         if u.bit_count() == i:
             masked[u] = coeffs[u]
-    return VertexFunction(f.n, _fractions(_butterfly(masked), d << f.n))
+    return _from_ints(f.n, _butterfly(masked), d << f.n)
 
 
 def in_band(f: VertexFunction, i: int, j: int) -> bool:
     """True iff every Fourier coefficient at weight outside [i, j] is zero."""
     _check_band(f.n, i, j)
-    return all(i <= a <= j for a in _levels(_scaled_ints(f.values)[0]))
+    return all(i <= a <= j for a in _levels(list(_int_table(f)[0])))
 
 
 def _neighbour_stages(vals: list, sums: list) -> list:
@@ -134,7 +135,7 @@ def check_eigen_relation(f: VertexFunction, lam: int) -> bool:
     """Direct test of lam * f(x) = sum of f over the n neighbors of x, at every x.
 
     Works straight from the value table, independently of the transform,
-    on the integers of the table scaled by the lcm of its denominators.
+    on the stored ints of f (its values times their common denominator).
     The sums start at -lam * f, and one stage per coordinate adds the
     neighbours across it.  A table that _packed takes with margin
     (n + |lam|).bit_length() runs the stages on its rows for the high
@@ -144,10 +145,10 @@ def check_eigen_relation(f: VertexFunction, lam: int) -> bool:
     entries.  Every sum must be 0.
     """
     _check_int("lambda", lam, None)
-    vals, _ = _scaled_ints(f.values)
+    vals = _int_table(f)[0]
     rows = _packed(vals, (f.n + abs(lam)).bit_length())
     if rows is None:
-        return not any(_neighbour_stages(vals, list(map((-lam).__mul__, vals))))
+        return not any(_neighbour_stages(list(vals), list(map((-lam).__mul__, vals))))
     sums = _neighbour_stages(rows, list(map((-lam).__mul__, rows)))
     width = len(vals) // len(rows)
     return not any(_neighbour_stages(_transposed(rows, width), _transposed(sums, width)))

@@ -33,7 +33,7 @@ from functools import reduce
 from itertools import compress
 from operator import or_, xor
 
-from .functions import VertexFunction, _check_int, _scaled_ints, _stages, weight
+from .functions import VertexFunction, _check_int, _int_table, _stages, weight
 from .spectral import in_band
 
 
@@ -109,18 +109,18 @@ def is_trade(tp: TradePair, t: int) -> bool:
 
 
 def sign_split(f: VertexFunction) -> TradePair:
-    """Positive-support / negative-support pair of f, read from the numerators' signs."""
-    signs = [v.numerator for v in f.values]
-    t0 = frozenset(x for x, s in enumerate(signs) if s > 0)
-    t1 = frozenset(x for x, s in enumerate(signs) if s < 0)
+    """Positive-support / negative-support pair of f, read from the signs of its stored ints."""
+    ints = _int_table(f)[0]
+    t0 = frozenset(x for x, c in enumerate(ints) if c > 0)
+    t1 = frozenset(x for x, c in enumerate(ints) if c < 0)
     if not t0 or not t1:
         raise ValueError("sign_split needs both positive and negative values")
     return TradePair(t0, t1, f.n)
 
 
 def three_values_check(f: VertexFunction) -> bool:
-    """True iff the nonzero values of f all share one magnitude."""
-    magnitudes = {abs(v) for v in f.values if v}
+    """True iff the nonzero values of f all share one magnitude, read from its stored ints."""
+    magnitudes = {abs(c) for c in _int_table(f)[0] if c}
     if not magnitudes:
         raise ValueError("three_values_check needs a nonzero function")
     return len(magnitudes) == 1
@@ -138,12 +138,12 @@ def anf_degree(indicator: VertexFunction) -> int:
     of the values over the subcube below m, and the degree is the largest
     popcount of a nonzero coefficient mask.
     """
-    coeffs, d = _scaled_ints(indicator.values)
+    coeffs, d = _int_table(indicator)
     if d != 1 or not {*coeffs} <= {0, 1}:
         raise ValueError("anf_degree expects a 0/1-valued indicator")
     if not any(coeffs):
         raise ValueError("anf_degree expects a nonzero indicator")
-    return max(map(weight, compress(range(len(coeffs)), _stages(coeffs, _moebius_stage))))
+    return max(map(weight, compress(range(len(coeffs)), _stages(list(coeffs), _moebius_stage))))
 
 
 @dataclass(frozen=True)

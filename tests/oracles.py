@@ -84,6 +84,16 @@ def naive_tensor(values1, values2) -> list[Fraction]:
             for c in range(low * len(values2))]
 
 
+def naive_parity_twist(values) -> list[Fraction]:
+    """Each value times (-1) to the weight of its code, one Fraction product per code."""
+    return [Fraction(v) * (-1) ** weight(x) for x, v in enumerate(values)]
+
+
+def naive_restrict(values, r: int, k: int) -> list[Fraction]:
+    """The values at the codes whose coordinate r (1-based) is k, in code order."""
+    return [Fraction(v) for x, v in enumerate(values) if (x >> (r - 1)) % 2 == k]
+
+
 def naive_sign_split(values) -> tuple[set[int], set[int]]:
     """The codes with a value above and below Fraction(0), by Fraction comparison."""
     zero = Fraction(0)

@@ -10,7 +10,7 @@ from cubespec.functions import _check_int
 PACKAGE = Path(cubespec.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 # the int rule itself, and the exact-rational value checks, which also admit Fraction
-ALLOWED = {"functions.py": {"_check_int", "as_fraction", "VertexFunction.__post_init__"}}
+ALLOWED = {"functions.py": {"_check_int", "as_fraction", "VertexFunction.__init__"}}
 
 
 def _is_int(node) -> bool:

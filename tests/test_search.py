@@ -35,6 +35,7 @@ from conftest import mixed_table
 from oracles import (
     fraction_rank,
     naive_canonical_form,
+    naive_character,
     naive_is_zero,
     naive_min_support,
     naive_stabiliser_order,
@@ -193,6 +194,33 @@ class TestPackedColumns:
                 width = search._lanes(len(rows), len(rows))[0]
                 verts = range(1 << n) if n < 8 else [0, *sorted(rng.sample(range(1, 1 << n), 15))]
                 assert search._packed_columns(rows, verts, width) == self.oracle(rows, verts, width), (i, j)
+
+    def test_vertices_below_the_highest_row_bit(self, rng, monkeypatch):
+        # the rows fold onto the h bits the vertices use: one table on H(h), whatever n is
+        sizes = []
+        stages = search._stages
+        monkeypatch.setattr(search, "_stages", lambda table: sizes.append(len(table)) or stages(table))
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            rows = rng.sample(range(1 << n), rng.randint(1, min(1 << n, 40)))
+            h = rng.randint(0, n - 1)
+            verts = sorted(rng.sample(range(1 << h), rng.randint(1, min(1 << h, 8))))
+            width = search._lanes(len(rows), len(rows))[0] if rng.random() < 0.5 else rng.randint(2, 9)
+            chars = {u: naive_character(n, u) for u in rows}
+            expected = [sum(chars[u][x] << width * k for k, u in enumerate(rows)) for x in verts]
+            sizes.clear()
+            assert search._packed_columns(rows, verts, width) == expected, (n, rows, verts)
+            assert sizes == [1 << max(verts).bit_length()]
+
+    def test_small_support_at_n_8(self, monkeypatch):
+        # the kernel of phi(2) x phi(2) x point_mass(4)'s support in [2,6] at n = 8
+        # transforms a table on H(4), the bits its vertices use, not on H(8)
+        sizes = []
+        stages = search._stages
+        monkeypatch.setattr(search, "_stages", lambda table: sizes.append(len(table)) or stages(table))
+        (vec,) = _kernel_basis(search._rows(8, range(2, 7)), [0, 3, 12, 15])
+        assert search._normalize_witness(vec) == [1, -1, -1, 1]
+        assert sizes == [16]
 
 
 class TestKernelBasis:

@@ -380,7 +380,7 @@ def test_eigen_relation_does_not_use_the_transform():
         tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
         names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert {"_scaled_ints", "_neighbour_stages"} <= names
+    assert {"_int_table", "_neighbour_stages"} <= names
     assert names.isdisjoint({"_butterfly", "_stages", "_walsh_stage", "walsh_transform", "inverse_walsh",
                              "_levels"})
 
