@@ -371,7 +371,7 @@ class TestTensor:
     def test_summed_dimension_is_checked_before_any_product(self, monkeypatch):
         factors = (point_mass(8), point_mass(8), point_mass(9))
         calls = []
-        monkeypatch.setattr(functions, "_scaled_ints", lambda *args: calls.append(args))
+        monkeypatch.setattr(functions, "_int_table", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=r"^tensor dimension 25 exceeds the cap 24$"):
             tensor(*factors)
         assert calls == []
