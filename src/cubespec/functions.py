@@ -4,13 +4,14 @@ Vertices of H(n) are the elements of Z_2^n, encoded as integer bitmasks in
 [0, 2^n) with coordinate 1 in the least significant bit.  A VertexFunction
 stores its table as integers over one positive common denominator, in
 lowest terms (_int_table), so every transform and every zero test in this
-package is exact, and equality and hashing read the integers.  Producers
-build their results straight from ints (_from_ints), and consumers read
-the stored ints (_int_table): no table is scaled per call.  The public
-values tuple holds one Fraction per distinct value, shared by every vertex
-that holds it, and is built on first read (_fractions); a Fraction tuple
-handed to the constructor is kept as given.  Zero and sign tests read the
-ints, never Fraction comparisons.
+package is exact.  It is a frozen dataclass over (n, ints, d), which
+makes its equality, hashing and immutability.  Producers build their
+results straight from ints (_from_ints), and consumers read the stored
+ints (_int_table): no table is scaled per call.  The public values tuple
+holds one Fraction per distinct value, shared by every vertex that holds
+it; it is a cached property, built on first read (_fractions), that no
+comparison reads, and a Fraction tuple handed to the constructor seeds it
+as given.  Zero and sign tests read the ints, never Fraction comparisons.
 
 The Walsh-Hadamard transform is stored unnormalized:
 
@@ -38,8 +39,9 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, groupby, repeat
 from operator import add, methodcaller, mul, sub
 
@@ -86,6 +88,7 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class VertexFunction:
     """A function H(n) -> Q given by its dense value table in vertex-code order.
 
@@ -93,53 +96,36 @@ class VertexFunction:
     rejected).  The function holds its table as ints c over one positive
     denominator d, value k being c[k] / d, in lowest terms: d is the least
     such denominator, so two functions are equal exactly when their n, c
-    and d are.  values is the table as a tuple of Fractions, one object per
-    distinct value: a Fraction tuple given to the constructor is kept as
-    is, without a copy, and any other table builds it from the ints on
-    first read.  Instances are immutable, and all operations below return
-    new objects, so a function may be shared freely across threads.
+    and d are.  The frozen dataclass over (n, c, d) makes equality, hashing
+    and immutability, so a function may be shared freely across threads,
+    and all operations below return new objects.  values, the table as a
+    tuple of Fractions with one object per distinct value, is a cached
+    property that no comparison reads: a Fraction tuple given to the
+    constructor seeds it as is, without a copy, and any other table builds
+    it from the ints on first read.
     """
 
+    n: int
+    _ints: tuple[int, ...]
+    _den: int
     __match_args__ = ("n", "values")
 
     def __init__(self, n: int, values):
-        _check_int("dimension", n, 0, MAX_DIMENSION)
-        values = tuple(values)  # a tuple is kept, not copied
-        _check_length(n, values)
+        values = _checked_table(n, values)
         types = {*map(type, values)}
-        if types == {int}:
-            self._set(n, values, 1, None)
-            return
         if not types <= {int, Fraction}:  # a Fraction subclass, or a bad entry to name
             for k, v in enumerate(values):
                 if type(v) is not int and not isinstance(v, Fraction):
                     raise ValueError(f"value at index {k} is {type(v).__name__}, expected int or Fraction")
-        self._set(n, *_scaled_ints(values), values if types == {Fraction} else None)
+        ints, d = (values, 1) if types == {int} else _scaled_ints(values)
+        vars(self).update(n=n, _ints=ints, _den=d)
+        if types == {Fraction}:
+            vars(self)["values"] = values  # seeds the cached property below
 
-    def _set(self, n: int, ints: tuple[int, ...], d: int, values) -> None:
-        for name, value in (("n", n), ("_ints", ints), ("_den", d), ("_values", values)):
-            object.__setattr__(self, name, value)
-
-    @property
+    @cached_property
     def values(self) -> tuple[Fraction, ...]:
         """The table as Fractions, built from the ints on first read."""
-        if self._values is None:
-            object.__setattr__(self, "_values", _fractions(self._ints, self._den))
-        return self._values
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self._den, self._ints) == (other.n, other._den, other._ints)
-
-    def __hash__(self):
-        return hash((self.n, self._den, self._ints))
+        return _fractions(self._ints, self._den)
 
     def __repr__(self):
         return f"{type(self).__qualname__}(n={self.n!r}, values={self.values!r})"
@@ -171,30 +157,36 @@ class VertexFunction:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
 
 
-def _check_length(n: int, table: tuple) -> None:
+def _checked_table(n: int, table) -> tuple:
+    """table as a tuple of 2^n entries, n an int in [0, MAX_DIMENSION]; a tuple is kept, not copied.
+
+    The one check of the dimension and the length, for the constructor and
+    _from_ints alike: the dimension first, then the length.
+    """
+    _check_int("dimension", n, 0, MAX_DIMENSION)
+    table = tuple(table)
     if len(table) != 1 << n:
         raise ValueError(f"value table has length {len(table)}, expected {1 << n} for n={n}")
+    return table
 
 
 def _from_ints(n: int, ints, d: int = 1) -> VertexFunction:
     """The function on H(n) with table ints[k] / d, for an iterable of ints and a nonzero int d.
 
-    The one producer path: n and the length are checked as the constructor
-    checks them, and the table is stored in lowest terms over a positive
-    denominator, dividing out g = gcd(d, *ints) with the sign of d.  That
-    division runs once per distinct entry (_per_value), so the divided
-    table holds one int object per distinct value, as values holds one
-    Fraction.
+    The one producer path: n and the length go through the constructor's
+    check (_checked_table), and the table is stored in lowest terms over a
+    positive denominator, dividing out g = gcd(d, *ints) with the sign of
+    d.  That division runs once per distinct entry (_per_value), so the
+    divided table holds one int object per distinct value, as values
+    holds one Fraction.
     """
-    _check_int("dimension", n, 0, MAX_DIMENSION)
-    ints = tuple(ints)
-    _check_length(n, ints)
+    ints = _checked_table(n, ints)
     if d != 1:
         g = math.gcd(d, *ints) if d > 0 else -math.gcd(d, *ints)
         if g != 1:
             ints, d = _per_value(ints, g.__rfloordiv__), d // g
     f = object.__new__(VertexFunction)
-    f._set(n, ints, d, None)
+    vars(f).update(n=n, _ints=ints, _den=d)
     return f
 
 

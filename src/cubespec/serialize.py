@@ -10,11 +10,11 @@ All emitters sort object keys so output is byte-stable.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 
 from .constructions import Blueprint
-from .functions import VertexFunction, _check_int, _from_ints, _int_table, _per_value, fraction_from_str
+from .functions import (VertexFunction, _check_int, _from_ints, _int_table, _per_value, _scaled_ints,
+                        fraction_from_str)
 from .search import SearchReport
 from .spectral import SpectrumSet
 from .trades import AffineSubspace, TradePair
@@ -48,18 +48,16 @@ def fields(payload, **types) -> list:
 def function_from_dict(payload: dict) -> VertexFunction:
     """Decode a function, parsing each distinct value string once.
 
-    The table is built straight from ints: each distinct string becomes
-    its numerator scaled to the lcm d of the denominators, one int object
-    shared by its entries.  A table with a non-string entry, which may be
-    unhashable, is parsed entry by entry, so it fails at its first bad
-    entry as an all-string table does.
+    The table is built straight from ints: the distinct values are scaled
+    to the lcm d of their denominators by the constructor's rule
+    (_scaled_ints), one int object shared by the entries of each.  A table
+    with a non-string entry, which may be unhashable, is parsed entry by
+    entry, so it fails at its first bad entry as an all-string table does.
     """
     n, values = fields(payload, n=int, values=list)
     distinct = dict.fromkeys(values) if {*map(type, values)} <= {str} else values
-    ratios = [fraction_from_str(text).as_integer_ratio() for text in distinct]
-    d = math.lcm(*{q for _, q in ratios})
-    scaled = dict(zip(distinct, [p * (d // q) for p, q in ratios]))
-    return _from_ints(n, map(scaled.__getitem__, values), d)
+    ints, d = _scaled_ints([fraction_from_str(text) for text in distinct])
+    return _from_ints(n, map(dict(zip(distinct, ints)).__getitem__, values), d)
 
 
 def vertex_to_bitstring(code: int, n: int) -> str:

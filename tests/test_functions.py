@@ -140,6 +140,27 @@ class TestVertexFunctionValues:
         table = (Fraction(1), Fraction(2))
         assert VertexFunction(1, table).values is table
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: VertexFunction(25, [0.5]), "dimension must be an int in [0, 24], got 25"),
+        (lambda: VertexFunction(1, [0.5, 1, 2]), "value table has length 3, expected 2 for n=1"),
+        (lambda: functions._from_ints(25, [0], 1), "dimension must be an int in [0, 24], got 25"),
+    ], ids=["dimension before entry types", "length before entry types", "dimension before length"])
+    def test_checks_run_in_order(self, make, message):
+        # the dimension, then the length, then the entry types, for both storing paths
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_match_binds_n_and_the_fraction_view(self):
+        table = (Fraction(1), Fraction(-1, 2))
+        cases = [(VertexFunction(1, (2, -1)), (Fraction(2), Fraction(-1))), (VertexFunction(1, table), table)]
+        for f, expected in cases:
+            match f:
+                case VertexFunction(n, values):
+                    pass
+            assert n == 1 and values == expected and values is f.values
+            assert all(type(v) is Fraction for v in values)
+        assert values is table  # the kept Fraction tuple itself
+
 
 class TestWalsh:
     def test_character_transforms_to_single_spike(self):
