@@ -11,8 +11,8 @@ blueprints are every class exactly when each lies in the band with the
 minimal support, their canonical forms under the full automorphism group
 (coordinate permutations composed with translations, plus scaling) are
 distinct, and their orbits' minimal supports through 0 (Blueprint.placements)
-sum to the number found.  Only when that fails are the supports'
-witnesses canonicalised one by one.
+sum to the number found.  Only when that fails is every support's
+witness function canonicalised, by the same canonical_form.
 
 The support scan and the kernel extraction share one elimination engine,
 _bareiss_step.  A column is one Python int holding row k in the k-th
@@ -34,9 +34,10 @@ below the bound the directions of the columns give the dependent supports.
 Kernel vectors, their combinations and their level tests stay Python
 ints, and the VertexFunctions handed back are built from them
 (functions._from_ints).
-Canonical forms compare integer tables too.  They walk the distinct
-arrangements of the coordinates' columns over the support depth first,
-from the top bit down, and cut every prefix whose placed bits already
+canonical_form compares integer tables too, read from the stored ints of
+the function it is given.  It walks the distinct arrangements of the
+coordinates' columns over the support depth first, from the top bit
+down, and cuts every prefix whose placed bits already
 fix a first support vertex earlier than the best image's, the
 search-tree pruning of B. D. McKay, A. Piperno, "Practical graph
 isomorphism, II", J. Symbolic Comput. 60, 2014.
@@ -51,11 +52,11 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constructions import Blueprint, build, enumerate_blueprints
 from .functions import MAX_DIMENSION, VertexFunction, _check_int, _from_ints, _int_table, _stages, support_size
-from .spectral import SpectrumSet, _check_band, _levels
+from .spectral import SpectrumSet, _check_band, _levels, in_band
 
 EXHAUSTIVE_LIMIT = 5
 CANONICAL_LIMIT = 8
@@ -321,11 +322,6 @@ def _table(n, supp, vec) -> list[int]:
     return vals
 
 
-def _function(n, supp, vec) -> VertexFunction:
-    """The function on H(n) holding vec on the support and 0 elsewhere."""
-    return _from_ints(n, _table(n, supp, vec))
-
-
 def _normalize_witness(ints) -> list[int]:
     """Divide an integer kernel vector by its content, signed to make the lead positive."""
     g = math.gcd(*ints)
@@ -334,9 +330,9 @@ def _normalize_witness(ints) -> list[int]:
     return [x // g for x in ints]
 
 
-def _witness(rows, supp) -> list[int]:
-    """The normalized first kernel vector of supp, the only one when supp is minimal."""
-    return _normalize_witness(_kernel_basis(rows, supp)[0])
+def _witness(n, rows, supp) -> VertexFunction:
+    """The witness function of supp: its normalized first kernel vector, the only one when supp is minimal."""
+    return _from_ints(n, _table(n, supp, _normalize_witness(_kernel_basis(rows, supp)[0])))
 
 
 def _arrangement_walk(n, codes, on_leaf):
@@ -384,21 +380,33 @@ def _arrangement_walk(n, codes, on_leaf):
     visit(columns, 0, 0, [sum(1 << s for s in lanes)])
 
 
-def _canonical(n, codes, ints) -> list[int]:
-    """The least image of f under the automorphisms of H(n), as an int table.
+def canonical_form(f: VertexFunction) -> VertexFunction:
+    """Class representative under automorphisms of H(n) and scaling.
 
-    f has support codes and values ints, integers on one scale.  An image
-    led by value u holds v * (L // u) at each vertex, L the lcm of the |v|:
-    L times the image scaled to +1 at its first support vertex, so int
-    tables order the images exactly.  With the support moved to pass
-    through 0, coordinates with equal columns swap without moving f, so
-    the distinct arrangements of _arrangement_walk, each with every
-    translation, yield every image.  A later first support vertex makes a
-    smaller table, so only the translations that reach an arrangement's
-    max-min are compared, and the walk cuts every prefix whose max-min
-    falls below the best table's.  Returns that table, L times the class
-    representative, whose first nonzero entry is L.
+    Each candidate c * (f o pi), for pi a coordinate permutation composed
+    with a translation, is scaled to +1 at its first support vertex, and
+    the smallest value table (vertex-code order) wins: the minimum over the
+    whole group.  Images are compared as int tables, from the stored ints
+    of f on its support: an image led by value u holds v * (L // u) at
+    each vertex, L the lcm of the |v|, which is L times the image scaled to
+    +1 at its first support vertex, so int tables order the images exactly.
+    With the support moved to pass through 0, coordinates with equal
+    columns swap without moving f, so the distinct arrangements of
+    _arrangement_walk, each with every translation, yield every image.  A
+    later first support vertex makes a smaller table, so only the
+    translations that reach an arrangement's max-min are compared, and the
+    walk cuts every prefix whose max-min falls below the best table's.  The
+    best table, whose first nonzero entry is L, divided by L is the form.
+    Idempotent and constant on classes.
     """
+    n = f.n
+    if n > CANONICAL_LIMIT:
+        raise ValueError(f"canonical_form sweeps the full group only for n <= {CANONICAL_LIMIT}")
+    table = _int_table(f)[0]
+    codes = [x for x, c in enumerate(table) if c]
+    if not codes:
+        raise ValueError("canonical_form needs a nonzero function")
+    ints = [table[x] for x in codes]
     scale = math.lcm(*{abs(v) for v in ints})
     by_lead = {u: [v * (scale // u) for v in ints] for u in set(ints)}  # [k]: ints[k] / u * scale
     best = None
@@ -407,39 +415,13 @@ def _canonical(n, codes, ints) -> list[int]:
         nonlocal best
         for k in leads:
             w = moved[k] ^ top
-            table = _table(n, [t ^ w for t in moved], by_lead[ints[k]])
-            if best is None or table < best:
-                best = table
+            image = _table(n, [t ^ w for t in moved], by_lead[ints[k]])
+            if best is None or image < best:
+                best = image
         return top
 
     _arrangement_walk(n, [x ^ codes[0] for x in codes], compare)
-    return best
-
-
-def _unit_lead(n, table) -> VertexFunction:
-    """The int table divided by its first nonzero entry."""
-    return _from_ints(n, table, next(filter(None, table)))
-
-
-def canonical_form(f: VertexFunction) -> VertexFunction:
-    """Class representative under automorphisms of H(n) and scaling.
-
-    Each candidate c * (f o pi), for pi a coordinate permutation composed
-    with a translation, is scaled to +1 at its first support vertex, and
-    the smallest value table (vertex-code order) wins: the minimum over the
-    whole group, found by _canonical on the support and its values as ints,
-    whose walk over coordinate arrangements cuts every prefix that cannot
-    reach the latest first support vertex.  Idempotent and constant on
-    classes.
-    """
-    n = f.n
-    if n > CANONICAL_LIMIT:
-        raise ValueError(f"canonical_form sweeps the full group only for n <= {CANONICAL_LIMIT}")
-    ints = _int_table(f)[0]
-    codes = [x for x, c in enumerate(ints) if c]
-    if not codes:
-        raise ValueError("canonical_form needs a nonzero function")
-    return _unit_lead(n, _canonical(n, codes, [ints[x] for x in codes]))
+    return _from_ints(n, best, scale)
 
 
 def equivalent(f: VertexFunction, g: VertexFunction) -> bool:
@@ -465,7 +447,7 @@ class SearchReport:
     matched_blueprints: tuple[tuple[Blueprint, int | None], ...] = ()
     ok: bool = True
     notes: tuple[str, ...] = ()
-    elapsed: float | None = None
+    elapsed: float | None = field(default=None, compare=False)
     nodes_examined: int = 0
 
 
@@ -478,9 +460,8 @@ def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport
     """
     start = time.perf_counter()
     rows, size, supports, nodes = _scan_supports(n, i, j, unsafe, "unsafe")
-    witness = _function(n, supports[0], _witness(rows, supports[0]))
     return SearchReport(
-        n=n, i=i, j=j, min_support=size, witness=witness,
+        n=n, i=i, j=j, min_support=size, witness=_witness(n, rows, supports[0]),
         elapsed=time.perf_counter() - start, nodes_examined=nodes,
     )
 
@@ -561,15 +542,15 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     """Cross-check the optimal classes of a band against the blueprints.
 
     Collects every minimal-size feasible support through vertex 0.  The
-    blueprints are the classes when (a) each is in the band, by its levels,
+    blueprints are the classes when (a) each is in the band, by in_band,
     with support exactly the minimum, (b) their canonical forms are
     distinct and (c) their placements sum to the number of supports found
     (module docstring); then only the reported witness takes a kernel.
-    Otherwise the fallback dedupes a kernel witness of every support by
-    canonical form.  ok is True only when the minimum equals the sharp
-    bound and the match is a bijection with no extras and no misses.
-    Refuses n beyond the exhaustive limit unless extended is set, and
-    beyond CANONICAL_LIMIT always.
+    Otherwise the fallback builds the witness of every support (_witness)
+    and dedupes them by canonical_form.  ok is True only when the minimum
+    equals the sharp bound and the match is a bijection with no extras and
+    no misses.  Refuses n beyond the exhaustive limit unless extended is
+    set, and beyond CANONICAL_LIMIT always.
     """
     start = time.perf_counter()
     rows, size, supports, nodes = _scan_supports(n, i, j, extended, "extended", CANONICAL_LIMIT)
@@ -580,16 +561,13 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     bps = enumerate_blueprints(n, i, j)
     built = [build(bp) for bp in bps]
     forms = [canonical_form(f) for f in built]
-    band = frozenset(range(i, j + 1))
-    in_band = all(support_size(f) == size and _levels(list(_int_table(f)[0])) <= band for f in built)
+    optimal = all(support_size(f) == size and in_band(f, i, j) for f in built)
     distinct = len(set(forms)) == len(forms)
-    if in_band and distinct and sum(bp.placements for bp in bps) == len(supports):
-        classes, witness = forms, _witness(rows, supports[0])
+    if optimal and distinct and sum(bp.placements for bp in bps) == len(supports):
+        classes, witness = forms, _witness(n, rows, supports[0])
     else:
-        witnesses = [_witness(rows, supp) for supp in supports]
-        # a class holds primitive vectors of one multiset of |v|, so one table
-        tables = {tuple(_canonical(n, supp, w)) for supp, w in zip(supports, witnesses)}
-        classes, witness = [_unit_lead(n, t) for t in tables], witnesses[0]
+        witnesses = [_witness(n, rows, s) for s in supports]
+        classes, witness = set(map(canonical_form, witnesses)), witnesses[0]
     classes = tuple(sorted(classes, key=lambda c: c.values))
     class_index = {c: idx for idx, c in enumerate(classes)}
     matched = tuple(zip(bps, map(class_index.get, forms)))
@@ -603,7 +581,7 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     if len(bps) != len(classes):
         mismatches.append(f"{len(classes)} search classes vs {len(bps)} blueprints")
     return SearchReport(
-        n=n, i=i, j=j, min_support=size, witness=_function(n, supports[0], witness),
+        n=n, i=i, j=j, min_support=size, witness=witness,
         classes_found=classes, matched_blueprints=matched,
         ok=size == expected and not mismatches, notes=tuple(notes + mismatches),
         elapsed=time.perf_counter() - start, nodes_examined=nodes,

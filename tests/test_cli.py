@@ -175,6 +175,29 @@ def test_min_support_command_is_deterministic(capsys):
     assert report["witness"]["values"] == ["1", "0", "0", "-1"]
 
 
+def run_module(*argv):
+    """Run python -m cubespec.cli as a process on the package under test."""
+    src = str(Path(cubespec.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "cubespec.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_module_run_as_a_process_matches_main(capsys):
+    proc = run_module("verify-classification", "--n", "3", "--i", "0", "--j", "2")
+    code, out, err = run(capsys, "verify-classification", "--n", "3", "--i", "0", "--j", "2")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out and json.loads(out)["ok"] is True
+    assert proc.stderr == err == ""
+
+
+def test_module_run_as_a_process_reports_the_contract_error():
+    proc = run_module("min-support", "--n", "6", "--i", "2", "--j", "3")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": "exhaustive search beyond n=5 needs --unsafe-n", "kind": "contract",
+    }
+
+
 def test_min_support_exact_spectrum_flag(capsys):
     code, out, _ = run(capsys, "min-support", "--n", "3", "--exact-spectrum", "0,3")
     assert code == 0

@@ -133,6 +133,20 @@ DUALITY_BANDS = [(n, i, j) for n in range(5) for i in range(n + 1) for j in rang
 DUALITY_BANDS += [(5, i, j) for i in range(3) for j in range(3, 6)]
 
 
+@pytest.mark.parametrize("search_run", [
+    lambda: min_support(3, 1, 2),
+    lambda: verify_classification(3, 0, 2),
+    lambda: min_support_exact_spectrum(3, [0, 3]),
+], ids=["min_support", "verify_classification", "exact_spectrum"])
+def test_search_reports_compare_by_result_not_by_clock(search_run):
+    first, second = search_run(), search_run()
+    assert first.elapsed is not None and second.elapsed is not None
+    assert first == second and hash(first) == hash(second)
+    later = dataclasses.replace(first, elapsed=first.elapsed + 1)
+    assert later == first and hash(later) == hash(first)
+    assert dataclasses.replace(first, nodes_examined=first.nodes_examined + 1) != first
+
+
 class TestParityDuality:
     # The columns of band [n-j, n-i] are those of band [i, j] times (-1)^|x|,
     # which changes no dependence: the two scans must agree node for node,
@@ -613,19 +627,18 @@ class TestCanonicalForm:
                       (n, *self.moved(n, codes, vec, perm, rng.randrange(1 << n)))]
         results = []
         for n, codes, vec in cases:
-            table = search._canonical(n, codes, vec)
             values = [0] * (1 << n)
             for x, v in zip(codes, vec):
                 values[x] = v
+            form = canonical_form(make_function(n, values))
             oracle = naive_canonical_form(make_function(n, values))
-            lead = next(v for v in table if v)
-            assert [Fraction(v, lead) for v in table] == list(oracle.values), (n, codes, vec)
-            results.append((n, table, oracle.values))
+            assert form.values == oracle.values, (n, codes, vec)
+            results.append((n, form, oracle.values))
         outcomes = set()
-        for (n, table, form), (m, other, other_form) in combinations(results, 2):
+        for (n, form, oracle), (m, other, other_oracle) in combinations(results, 2):
             if n == m:
-                assert (table == other) == (form == other_form)
-                outcomes.add(form == other_form)
+                assert (form == other) == (oracle == other_oracle)
+                outcomes.add(oracle == other_oracle)
         assert outcomes == {True, False}
 
     def test_aut_matches_the_stabiliser_oracle_on_blueprints(self):
@@ -644,8 +657,7 @@ class TestCanonicalForm:
     def test_witnesses_above_n5_give_the_blueprint_forms(self, n, i, j, witnesses, classes):
         rows, size, supports, _ = search._scan_supports(n, i, j, True, "extended")
         assert size == max(1 << i, 1 << (n - j)) and len(supports) == witnesses
-        forms = {canonical_form(search._function(n, supp, search._witness(rows, supp))).values
-                 for supp in supports}
+        forms = {canonical_form(search._witness(n, rows, supp)).values for supp in supports}
         blueprint_forms = [canonical_form(build(bp)).values for bp in enumerate_blueprints(n, i, j)]
         assert len(set(blueprint_forms)) == len(blueprint_forms) == classes
         assert forms == set(blueprint_forms)
@@ -654,7 +666,7 @@ class TestCanonicalForm:
 def walk_leaves(n, codes, cut=True):
     """The leaves _arrangement_walk reaches, in order: (moved codes, max-min, sorted translations).
 
-    With cut the bound is each leaf's max-min, as in search._canonical;
+    With cut the bound is each leaf's max-min, as in search.canonical_form;
     without it the bound stays -1 and every distinct arrangement is a leaf.
     """
     leaves = []
@@ -833,18 +845,23 @@ class TestVerifyClassification:
     def test_placements_sum_to_the_measured_support_counts(self, n, i, j, supports):
         assert sum(bp.placements for bp in enumerate_blueprints(n, i, j)) == supports
 
+    # the small bands, the nine bands with bound <= 4 at n = 6 and 7, and
+    # behind CUBESPEC_EXTENDED the n = 5 bands with bound 8 and the nine at n = 8
     @pytest.mark.parametrize("n,i,j", SMALL_BANDS + [
-        pytest.param(*band, marks=pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for bound 8"))
+        (n, i, j) for n in (6, 7) for i in range(3) for j in range(n - 2, n + 1)
+    ] + [
+        pytest.param(*band, marks=pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for these bands"))
         for band in [(5, i, j) for i in range(4) for j in range(i, 6) if max(1 << i, 1 << 5 - j) == 8]
+        + [(8, i, j) for i in range(3) for j in range(6, 9)]
     ])
     def test_per_witness_fallback_gives_the_same_report(self, monkeypatch, kernel_calls, n, i, j):
-        fast = verify_classification(n, i, j)
+        fast = verify_classification(n, i, j, extended=True)
         assert len(kernel_calls) == 1
         kernel_calls.clear()
-        monkeypatch.setattr(search, "_levels", lambda table: frozenset({-1}))  # fails check (a)
-        slow = verify_classification(n, i, j)
-        assert len(kernel_calls) == len(search._scan_supports(n, i, j, False, "extended")[2])
-        assert dataclasses.replace(slow, elapsed=None) == dataclasses.replace(fast, elapsed=None)
+        monkeypatch.setattr(search, "in_band", lambda f, i, j: False)  # fails check (a)
+        slow = verify_classification(n, i, j, extended=True)
+        assert len(kernel_calls) == len(search._scan_supports(n, i, j, True, "extended")[2])
+        assert slow == fast
 
     @pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-16 and -32 bands")
     @pytest.mark.parametrize("i,j", [(0, 0), (5, 5), (1, 1), (4, 4), (0, 1), (4, 5)])
