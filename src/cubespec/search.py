@@ -42,6 +42,12 @@ fix a first support vertex earlier than the best image's, the
 search-tree pruning of B. D. McKay, A. Piperno, "Practical graph
 isomorphism, II", J. Symbolic Comput. 60, 2014.
 
+A band scan starts with its bound at the sharp bound B = max(2^i, 2^(n-j))
+of the paper, which some band member attains, so it examines exactly the
+supports through 0 of size at most B: sum_{t<B} C(2^n - 1, t) nodes.  A
+scan from B that records nothing runs again from 2^n, so the minimum found
+never rests on the theorem.
+
 Scans are restricted to supports containing vertex 0, which is harmless:
 translating a function multiplies each Fourier coefficient by +-1, so band
 membership and support size are translation invariant.
@@ -256,6 +262,11 @@ def _colex_key(supp):
     return tuple(sorted(supp, reverse=True))
 
 
+def _sharp_bound(n, i, j):
+    """max(2^i, 2^(n-j)): the fewest non-zeros of a nonzero band-[i, j] member, which some member attains."""
+    return max(1 << i, 1 << n - j)
+
+
 def _scan_supports(n, i, j, lifted, keyword, top=MAX_DIMENSION):
     """Smallest dependent supports through vertex 0 for band [i, j].
 
@@ -263,7 +274,10 @@ def _scan_supports(n, i, j, lifted, keyword, top=MAX_DIMENSION):
     Returns (rows, min_size, supports at min_size in colexicographic order,
     nodes_examined).  A dependent support is recorded and never extended,
     since recording lowers the bound to its size; sizes only fall, so
-    found holds the supports at the current bound.
+    found holds the supports at the current bound.  The bound starts at
+    B = _sharp_bound, so the scan examines the sum_{t<B} C(2^n - 1, t)
+    supports through 0 of size at most B; should it record nothing, it
+    runs again from 2^n and adds its nodes (module docstring).
     """
     _check_band(n, i, j)
     _check_exhaustive(n, lifted, keyword, top)
@@ -276,7 +290,10 @@ def _scan_supports(n, i, j, lifted, keyword, top=MAX_DIMENSION):
         found.append(supp)
         return len(supp)
 
-    nodes, size = _dfs(n, rows, 1 << n, record)
+    nodes, size = _dfs(n, rows, _sharp_bound(n, i, j), record)
+    if not found:
+        more, size = _dfs(n, rows, 1 << n, record)
+        nodes += more
     return rows, size, sorted(found, key=_colex_key), nodes
 
 
@@ -554,7 +571,7 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     """
     start = time.perf_counter()
     rows, size, supports, nodes = _scan_supports(n, i, j, extended, "extended", CANONICAL_LIMIT)
-    expected = max(1 << i, 1 << (n - j))
+    expected = _sharp_bound(n, i, j)
     notes = []
     if size != expected:
         notes.append(f"minimum support {size} differs from the sharp bound {expected}")

@@ -49,6 +49,13 @@ EXTENDED = os.environ.get("CUBESPEC_EXTENDED") == "1"
 SMALL_BANDS = [(n, i, j) for n in range(1, 5) for i in range(n + 1) for j in range(i, n + 1)] + [
     (5, i, j) for i in range(3) for j in range(3, 6)
 ]
+# the n = 5 bands with bound 8 or 16
+N5_BOUND_8_AND_16 = [(5, i, j) for i in range(5) for j in range(i, 6) if max(1 << i, 1 << 5 - j) in (8, 16)]
+
+
+def sharp_start_nodes(n, i, j):
+    """The supports through 0 of size at most B = max(2^i, 2^(n-j)): sum_{t<B} C(2^n - 1, t)."""
+    return sum(math.comb((1 << n) - 1, t) for t in range(max(1 << i, 1 << n - j)))
 
 
 class TestMinSupport:
@@ -103,29 +110,59 @@ class TestMinSupport:
         with pytest.raises(ValueError, match=re.escape("n must be an int in [0, 24], got")):
             search_call()
 
-    # Counts that hold however the scan runs.  [0, 0] and [n, n] have no
-    # dependent support below the whole cube, so every support through 0 is
-    # examined: 2^(2^n - 1) nodes.  [0, 1] and [n - 1, n] have bound
-    # 2^(n-1), met first by the hyperplane x_n = 0 at the end of the
-    # leftmost path; after it every support through 0 of size at most
-    # 2^(n-1) is examined, half of all subsets of the other 2^n - 1
-    # vertices: 2^(2^n - 2) nodes.  The two n = 5 bands with bound 16 have
-    # no such closed form; their counts are pinned as measured, since a
-    # faster scan must examine the same nodes.
+    # The scan starts at the sharp bound B = max(2^i, 2^(n-j)), and no
+    # support smaller than B is dependent, so it examines exactly the
+    # supports through 0 of size at most B: sum_{t<B} C(2^n - 1, t) nodes.
+    # The count is a property of the scan: a faster scan with the same start
+    # examines the same nodes, and a change of start must change this rule.
     @pytest.mark.parametrize("n,i,j,nodes", [
-        *((n, i, i, 2 ** (2**n - 1)) for n in range(1, 6) for i in (0, n)),
-        *((n, i, i + 1, 2 ** (2**n - 2)) for n in range(2, 5) for i in (0, n - 1)),
-        *(pytest.param(5, i, i + 1, 2**30, marks=pytest.mark.skipif(
-            not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the 2^30-node n=5 scans"))
-          for i in (0, 4)),
-        *(pytest.param(5, i, i, 1_076_985_435, marks=pytest.mark.skipif(
-            not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-16 scans"))
-          for i in (1, 4)),
+        *((*band, sharp_start_nodes(*band)) for band in SMALL_BANDS + [(5, 0, 0), (5, 5, 5)]),
+        *(pytest.param(*band, sharp_start_nodes(*band), marks=pytest.mark.skipif(
+            not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-8 and bound-16 scans"))
+          for band in N5_BOUND_8_AND_16),
     ])
     def test_nodes_examined_where_the_count_is_known(self, n, i, j, nodes):
         report = min_support(n, i, j)
         assert report.nodes_examined == nodes
         assert report.min_support == max(1 << i, 1 << n - j)
+
+    # The scan from the sharp bound against the scan from 2^n, the start
+    # before it: the same minimum and the same supports in the same order.
+    @pytest.mark.parametrize("n,i,j", SMALL_BANDS)
+    def test_sharp_start_matches_the_scan_from_the_whole_cube(self, n, i, j):
+        rows, size, supports, _ = search._scan_supports(n, i, j, False, "unsafe")
+        found = []
+
+        def record(supp, bound):
+            if len(supp) < bound:
+                found.clear()
+            found.append(supp)
+            return len(supp)
+
+        _, full_size = search._dfs(n, rows, 1 << n, record)
+        assert (size, supports) == (full_size, sorted(found, key=search._colex_key))
+
+    # A start below the minimum records nothing, so the scan runs again from
+    # 2^n: the report is the same but for the nodes of both scans.
+    @pytest.mark.parametrize("start", [1, 7])
+    def test_start_below_the_minimum_falls_back_to_the_whole_cube(self, monkeypatch, start):
+        plain = min_support(4, 1, 1)
+        rows = search._rows(4, [1])
+        capped, _ = search._dfs(4, rows, start, lambda supp, bound: pytest.fail(f"dependent {supp} below 8"))
+        full, _ = search._dfs(4, rows, 16, lambda supp, bound: len(supp))
+        monkeypatch.setattr(search, "_sharp_bound", lambda n, i, j: start)
+        report = min_support(4, 1, 1)
+        assert report == dataclasses.replace(plain, nodes_examined=capped + full)
+        assert plain.nodes_examined == sharp_start_nodes(4, 1, 1) != capped + full
+
+    # The first n = 6 band with bound 8 that the scan finishes: about two
+    # minutes on one core.
+    @pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=6 bound-8 scan")
+    def test_n6_band_with_bound_8(self):
+        report = min_support(6, 3, 6, unsafe=True)
+        assert report.min_support == support_size(report.witness) == 8
+        assert spectrum(report.witness).levels <= {3, 4, 5, 6}
+        assert report.nodes_examined == sharp_start_nodes(6, 3, 6) == 628_882_432
 
 
 # Every band with n <= 4, and the nine n = 5 bands with bound <= 4.
