@@ -29,8 +29,10 @@ is exact lane by lane, and since a packed column is linear in its lanes,
 it is exact on the whole int even where the product overflowed a lane.
 A zero test is `not column`.
 The scan counts, not visits, children whose subtrees hold no dependence,
-a child inherits its independent suffix from its parent's chain, and one
-below the bound the directions of the columns give the dependent supports.
+a child inherits its independent suffix from its parent's chain, a child
+through an independent column reads which pivot zeroes each of its
+columns off the columns that chain held, and one below the bound the
+directions of the columns give the dependent supports.
 Kernel vectors, their combinations and their level tests stay Python
 ints, and the VertexFunctions handed back are built from them
 (functions._from_ints).
@@ -166,21 +168,59 @@ def _partners(cols, width, bias):
             for k, key in enumerate(keys) if not key or k < max(last[key], last[0])}
 
 
-def _chain(cols, d, width, bias):
+def _chain(cols, d, width, bias, trail=None):
     """Bareiss steps from the back of cols until one reduces to 0: (free, gone).
 
     cols[free:] is independent, and gone[k] = m - k for the pivot m whose step
     took cols[k] to 0, None if none did: the child through cols[k] has suffix
     cols[m + 1:], as cols[m] is then in span(cols[k], cols[m + 1:]) (exchange).
+    A trail list gets every column list the chain holds, its trail: trail[t]
+    is T_p for p = len(cols) - t, cols[:p] reduced modulo cols[p:], from
+    T_len(cols) = cols down to T_free.
     """
     gone = [None] * len(cols)
+    trail = [] if trail is None else trail
+    trail.append(cols)
     while cols and cols[-1]:
         d, step = _bareiss_step(cols[:-1], cols[-1], d, width, bias)
         if step.count(0) > cols.count(0):
             for k in [k for k, r in enumerate(step) if not r and cols[k]]:
                 gone[k] = len(step) - k
         cols = step
+        trail.append(cols)
     return len(cols), gone
+
+
+def _child_gone(trail, k, free, rest, width, bias):
+    """The gone of _chain for the child through cols[k], read off the parent's trail.
+
+    rest is the child's columns, cols[k + 1:] reduced against cols[k], and
+    free its free: its suffix is the columns of cols[m + 1:], m = k + free.
+    Its column of cols[j], k < j <= m, goes to 0 at the pivot of cols[P], P
+    the largest p in [m + 1, len(cols) - 1] with cols[j] in span(cols[k],
+    cols[p:]) modulo the support, that is with T_p[j] a multiple of T_p[k]:
+    its gone is P - j.  In-span holds for every p up to P, so the search
+    goes up from m + 1.  T_(m+1)[m] is always in span: pivot m zeroed
+    cols[k], or m + 1 is free and T_free[m] is 0.  A column already 0, or
+    with no such p, keeps None.
+    """
+    mask, half, size, m = (1 << width) - 1, 1 << width - 1, len(trail[0]), k + free
+
+    def in_span(p, j):
+        """q * bp == r * c at the lead lane of r = T_p[k], for q = T_p[j]."""
+        at = trail[size - p]
+        q, r = at[j], at[k]
+        shift = ((r & -r).bit_length() - 1) // width * width
+        return q * (((r + bias) >> shift & mask) - half) == r * (((q + bias) >> shift & mask) - half)
+
+    gone = [None] * len(rest)
+    for j in range(k + 1, m + 1):
+        if rest[j - k - 1] and m + 1 < size and in_span(m + 1, j):
+            p = m + 2
+            while p < size and in_span(p, j):
+                p += 1
+            gone[j - k - 1] = p - 1 - j
+    return gone
 
 
 def _dfs(n, rows, cap, on_dependent):
@@ -197,10 +237,15 @@ def _dfs(n, rows, cap, on_dependent):
     no dependent support below it is counted with its subtree, the sets of
     later candidates under the bound: two or more below the bound, children
     in the independent suffix (_chain, up to len(rows) pivots whatever cap
-    is, so lanes hold minors that large; run only at the root and at nodes
-    three or more below the bound, whose children inherit it); one below,
-    every child but those _partners names, which take no step either: their
-    dependent children are their partners.  Returns (nodes, bound).
+    is, so lanes hold minors that large); one below, every child but those
+    _partners names, which take no step either: their dependent children
+    are their partners.  Three or more below the bound a node needs its
+    suffix and gone, the pivot that zeroes each column.  A child through a
+    dependent column keeps its parent's; a walked child takes its suffix
+    from its parent's gone and, three or more below, its gone from the
+    parent's chain trail (_child_gone).  So _chain runs at the root and at
+    the walked children of nodes that ran none: every other level there.
+    Returns (nodes, bound).
     """
     if not rows:
         return 1, on_dependent((0,), cap)
@@ -233,10 +278,11 @@ def _dfs(n, rows, cap, on_dependent):
                     bound = on_dependent(ns + (verts[m],), bound)
                 if child + 1 <= bound:
                     nodes += size - 1 - last
+        trail = []  # this node's chain trail, for its walked children while it is on the path
         if child + 1 >= bound:
             free, gone = size, None
         elif free is None or gone is None and child + 2 < bound:
-            free, gone = _chain(cols, d, width, bias)
+            free, gone = _chain(cols, d, width, bias, trail)
         for k, r in enumerate(cols[:free]):
             if child > bound:
                 return
@@ -248,7 +294,11 @@ def _dfs(n, rows, cap, on_dependent):
                     visit(ns, verts[k + 1:], cols[k + 1:], d, gone and free - k - 1, gone and gone[k + 1:])
             elif child < bound:
                 bp, rest = _bareiss_step(cols[k + 1:], r, d, width, bias)
-                visit(ns, verts[k + 1:], rest, bp, gone and (gone[k] or free - k - 1))
+                below = gone and (gone[k] or free - k - 1)
+                if trail and child + 3 < bound:
+                    visit(ns, verts[k + 1:], rest, bp, below, _child_gone(trail, k, below, rest, width, bias))
+                else:
+                    visit(ns, verts[k + 1:], rest, bp, below)
         if free < size:
             nodes += sum(math.comb(size - free, t) for t in range(1, bound - len(supp) + 1))
 
@@ -516,7 +566,13 @@ def min_support_exact_spectrum(
     admit a kernel combination hitting every level.  Exactness is not
     inherited by subsets, so the scan descends through dependent supports
     as well.  The witness is the least by (size, colexicographic support,
-    values).
+    values) among the witnesses the scan built.  Their supports need not
+    hold vertex 0 and can be smaller than the scanned ones, and the scan
+    reaches only supports under its bound, which starts at the cap and
+    falls to each witness's size, so a cap changes which witnesses it
+    builds: at n = 5, levels {2, 3}, the minimum is 4 whatever the cap, on
+    support {5, 6, 9, 10} with no cap, {3, 5, 10, 12} with max_size 8,
+    {1, 2, 13, 14} with 5 and {0, 6, 9, 15} with 4.
 
     With max_size set, reports no witness (min_support None) when nothing
     achieves exactness within the cap.

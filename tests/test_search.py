@@ -49,8 +49,8 @@ EXTENDED = os.environ.get("CUBESPEC_EXTENDED") == "1"
 SMALL_BANDS = [(n, i, j) for n in range(1, 5) for i in range(n + 1) for j in range(i, n + 1)] + [
     (5, i, j) for i in range(3) for j in range(3, 6)
 ]
-# the n = 5 bands with bound 8 or 16
-N5_BOUND_8_AND_16 = [(5, i, j) for i in range(5) for j in range(i, 6) if max(1 << i, 1 << 5 - j) in (8, 16)]
+# the n = 5 bands with bound 8; TestVerifyClassification counts the nodes of those with bound 16
+N5_BOUND_8 = [(5, i, j) for i in range(5) for j in range(i, 6) if max(1 << i, 1 << 5 - j) == 8]
 
 
 def sharp_start_nodes(n, i, j):
@@ -118,8 +118,8 @@ class TestMinSupport:
     @pytest.mark.parametrize("n,i,j,nodes", [
         *((*band, sharp_start_nodes(*band)) for band in SMALL_BANDS + [(5, 0, 0), (5, 5, 5)]),
         *(pytest.param(*band, sharp_start_nodes(*band), marks=pytest.mark.skipif(
-            not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-8 and bound-16 scans"))
-          for band in N5_BOUND_8_AND_16),
+            not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-8 scans"))
+          for band in N5_BOUND_8),
     ])
     def test_nodes_examined_where_the_count_is_known(self, n, i, j, nodes):
         report = min_support(n, i, j)
@@ -400,6 +400,10 @@ class TestDfs:
         cases = [(4, [u for u in range(16) if u.bit_count() != 2], 4),
                  (5, [u for u in range(32) if u.bit_count() != 1], 3),
                  (5, rng.sample(range(32), 6), 4)]
+        # The rows of band [1, 1] on the whole of H(3): some child read off
+        # its parent's trail has a column that goes to 0 above the first
+        # pivot it could, so the search for the last in-span pivot matters.
+        cases.append((3, [u for u in range(8) if u.bit_count() != 1], 8))
         cases += [(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)), rng.randint(2, 1 << n))
                   for n in (1, 2, 3) for _ in range(12)]
         cases += [(4, rng.sample(range(16), rng.randint(cap + 1, 16)), cap) for cap in (4, 5)]
@@ -442,10 +446,12 @@ class TestDfs:
         assert shortcuts["suffix"] and shortcuts["with partners"] and shortcuts["closed form"], shortcuts
 
     def test_inherited_suffix_matches_a_fresh_chain(self, rng):
-        # A node that inherits free (and, below a dependent support, gone)
-        # from its parent must hold what its own _chain would find.  The
+        # A node that inherits free (and gone: below a dependent support
+        # from its parent's record, through an independent column from its
+        # parent's trail) must hold what its own _chain would find.  The
         # profiler sees each call of _dfs's inner visit with its arguments
-        # and the lanes it closes over.
+        # and the lanes it closes over, and the caller's frame shows the
+        # column the parent descended through.
         inherited = Counter()
 
         def check(frame, event, arg):
@@ -457,9 +463,12 @@ class TestDfs:
                 return
             free, gone = search._chain(at["cols"], at["d"], at["width"], at["bias"])
             assert at["free"] == free, (at["supp"], at["bound"])
-            if at["gone"] is not None:
-                assert at["gone"] == gone, (at["supp"], at["bound"])
-            inherited["walked" if at["gone"] is None else "below a dependent support"] += 1
+            if at["gone"] is None:
+                inherited["walked"] += 1
+                return
+            assert at["gone"] == gone, (at["supp"], at["bound"])
+            through = frame.f_back.f_locals["r"]
+            inherited["from a parent's trail" if through else "below a dependent support"] += 1
 
         for n, rows, cap in self.counted_cases(rng):
             for hook in self.HOOKS.values():
@@ -469,6 +478,7 @@ class TestDfs:
                 finally:
                     sys.setprofile(None)
         assert inherited["walked"] and inherited["below a dependent support"], inherited
+        assert inherited["from a parent's trail"], inherited
 
     @pytest.mark.parametrize("n,cap", [(0, 1), (3, 8), (3, 0)])
     def test_no_rows_hands_the_point_mass_to_the_hook(self, n, cap):
@@ -509,6 +519,17 @@ class TestExactSpectrum:
         assert report.min_support is None
         assert report.witness is None
         assert "no witness" in report.notes[0]
+
+    # The witness is the least of those the scan built, and the cap changes
+    # which ones it reaches: the minimum stays 4 while the support moves.
+    @pytest.mark.parametrize("max_size,support", [
+        (None, [5, 6, 9, 10]), (8, [3, 5, 10, 12]), (5, [1, 2, 13, 14]), (4, [0, 6, 9, 15]),
+    ])
+    def test_size_cap_changes_the_witness_not_the_minimum(self, max_size, support):
+        report = min_support_exact_spectrum(5, {2, 3}, max_size=max_size)
+        assert report.min_support == support_size(report.witness) == 4
+        assert spectrum(report.witness).sorted_levels == (2, 3)
+        assert [x for x, v in enumerate(report.witness.values) if v] == support
 
     def test_size_cap_applies_to_the_point_mass(self):
         assert min_support_exact_spectrum(2, {0, 1, 2}, max_size=1).min_support == 1
@@ -907,6 +928,7 @@ class TestVerifyClassification:
         assert len(kernel_calls) == 1  # check (c) held: the orbit-count path ran
         assert report.ok, report.notes
         assert report.min_support == max(1 << i, 1 << 5 - j)
+        assert report.nodes_examined == sharp_start_nodes(5, i, j)
         assert len(report.classes_found) == len(enumerate_blueprints(5, i, j))
 
     def test_limit_error_names_the_keyword(self):
