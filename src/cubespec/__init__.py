@@ -64,7 +64,9 @@ from .search import (
     canonical_form,
     equivalent,
     min_support,
+    min_support_all,
     min_support_exact_spectrum,
+    verify_all,
     verify_classification,
 )
 

@@ -164,14 +164,9 @@ def cmd_demo(args, _):
     check("optimal classes for n=3 band [0,2]", len(bps), 3)
 
     for n in range(1, 5):
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                report = search.min_support(n, i, j)
-                check(
-                    f"support minimum for n={n} band [{i},{j}]",
-                    report.min_support,
-                    max(1 << i, 1 << (n - j)),
-                )
+        for report in search.min_support_all(n):
+            i, j = report.i, report.j
+            check(f"support minimum for n={n} band [{i},{j}]", report.min_support, max(1 << i, 1 << (n - j)))
 
     f = functions.tensor(constructions.phi(2), constructions.phi(2))
     tp = trades.sign_split(f)

@@ -50,6 +50,14 @@ supports through 0 of size at most B: sum_{t<B} C(2^n - 1, t) nodes.  A
 scan from B that records nothing runs again from 2^n, so the minimum found
 never rests on the theorem.
 
+The dual of band [i, j] is [n-j, n-i]: its rows are the complements
+u ^ (2^n - 1), and chi_(u ^ (2^n - 1))(x) = (-1)^|x| chi_u(x), so each
+column of its scan only keeps or flips its sign, and the two scans find
+the same minimum, supports and nodes.  The band sweeps min_support_all
+and verify_all scan each dual pair once (_band_scans), but every band
+builds its witness from its own rows by _witness; no witness is carried
+across the pair.
+
 Scans are restricted to supports containing vertex 0, which is harmless:
 translating a function multiplies each Fourier coefficient by +-1, so band
 membership and support size are translation invariant.
@@ -84,8 +92,9 @@ class LimitError(ValueError):
 
 
 def _check_exhaustive(n: int, lifted: bool, keyword: str, top: int = MAX_DIMENSION) -> None:
-    """n <= EXHAUSTIVE_LIMIT unless lifted, and always n <= top: MAX_DIMENSION
+    """n an int, n <= EXHAUSTIVE_LIMIT unless lifted, and always n <= top: MAX_DIMENSION
     for a dense witness table, CANONICAL_LIMIT for canonicalised witnesses."""
+    _check_int("n", n)
     if n > EXHAUSTIVE_LIMIT and not lifted:
         raise LimitError(keyword)
     _check_int("n", n, 0, top)
@@ -347,6 +356,30 @@ def _scan_supports(n, i, j, lifted, keyword, top=MAX_DIMENSION):
     return rows, size, sorted(found, key=_colex_key), nodes
 
 
+def _band_scans(n, lifted, keyword, top=MAX_DIMENSION):
+    """(i, j, scan, start) for every band [i, j] of H(n), in (i, j) order.
+
+    scan is what _scan_supports returns for the band, and start the clock
+    when its turn came.  The gate comes once, before any scan.  Only the
+    bands with i + j <= n are scanned: a band with i + j > n takes the
+    minimum, supports and nodes of its dual [n-j, n-i] (module docstring),
+    which the walk passed earlier, with its own rows, and the held scan is
+    dropped once used.
+    """
+    _check_exhaustive(n, lifted, keyword, top)
+    held = {}
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            start = time.perf_counter()
+            if i + j > n:
+                rows, scan = _rows(n, range(i, j + 1)), held.pop((n - j, n - i))
+            else:
+                rows, *scan = _scan_supports(n, i, j, lifted, keyword, top)
+                if i + j < n:
+                    held[i, j] = scan
+            yield i, j, (rows, *scan), start
+
+
 def _kernel_basis(rows, supp):
     """Kernel of the character constraint matrix over the support columns.
 
@@ -521,12 +554,25 @@ class SearchReport:
 def min_support(n: int, i: int, j: int, *, unsafe: bool = False) -> SearchReport:
     """Exhaustive minimum support of a nonzero band-[i, j] member of H(n).
 
-    Candidate supports grow by size; the reported witness comes from the
-    colexicographically first minimal support.  Refuses n beyond the
-    exhaustive limit unless unsafe is set, and beyond MAX_DIMENSION always.
+    The scan starts with its bound at the sharp bound max(2^i, 2^(n-j)) and
+    lowers it to each dependent support it records (module docstring); the
+    reported witness comes from the colexicographically first minimal
+    support.  Refuses n beyond the exhaustive limit unless unsafe is set,
+    and beyond MAX_DIMENSION always.
     """
     start = time.perf_counter()
-    rows, size, supports, nodes = _scan_supports(n, i, j, unsafe, "unsafe")
+    return _min_report(n, i, j, _scan_supports(n, i, j, unsafe, "unsafe"), start)
+
+
+def min_support_all(n: int, *, unsafe: bool = False) -> tuple[SearchReport, ...]:
+    """min_support of every band of H(n) in (i, j) order; each dual pair is scanned once (_band_scans)."""
+    bands = _band_scans(n, unsafe, "unsafe")
+    return tuple(_min_report(n, i, j, scan, start) for i, j, scan, start in bands)
+
+
+def _min_report(n, i, j, scan, start) -> SearchReport:
+    """The min_support report of band [i, j] from its scan, timed from start."""
+    rows, size, supports, nodes = scan
     return SearchReport(
         n=n, i=i, j=j, min_support=size, witness=_witness(n, rows, supports[0]),
         elapsed=time.perf_counter() - start, nodes_examined=nodes,
@@ -626,7 +672,18 @@ def verify_classification(n: int, i: int, j: int, *, extended: bool = False) -> 
     set, and beyond CANONICAL_LIMIT always.
     """
     start = time.perf_counter()
-    rows, size, supports, nodes = _scan_supports(n, i, j, extended, "extended", CANONICAL_LIMIT)
+    return _classify(n, i, j, _scan_supports(n, i, j, extended, "extended", CANONICAL_LIMIT), start)
+
+
+def verify_all(n: int, *, extended: bool = False) -> tuple[SearchReport, ...]:
+    """verify_classification of every band of H(n) in (i, j) order; each dual pair is scanned once."""
+    bands = _band_scans(n, extended, "extended", CANONICAL_LIMIT)
+    return tuple(_classify(n, i, j, scan, start) for i, j, scan, start in bands)
+
+
+def _classify(n, i, j, scan, start) -> SearchReport:
+    """The verify_classification report of band [i, j] from its scan, timed from start."""
+    rows, size, supports, nodes = scan
     expected = _sharp_bound(n, i, j)
     notes = []
     if size != expected:

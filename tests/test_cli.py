@@ -454,6 +454,61 @@ def test_demo_passes(capsys):
     assert out.count("PASS") >= 10
 
 
+# The whole demo table, byte for byte: its 34 band lines come from the band
+# sweep, so a band dropped, repeated or out of (i, j) order changes it.
+DEMO_STDOUT = """\
+PASS  optimal classes for n=4 band [2,3]: got 2, expected 2
+PASS  their partitions: got [((), (2, 2), 0), ((1,), (2,), 1)], expected [((), (2, 2), 0), ((1,), (2,), 1)]
+PASS  optimal classes for n=3 band [0,2]: got 3, expected 3
+PASS  support minimum for n=1 band [0,0]: got 2, expected 2
+PASS  support minimum for n=1 band [0,1]: got 1, expected 1
+PASS  support minimum for n=1 band [1,1]: got 2, expected 2
+PASS  support minimum for n=2 band [0,0]: got 4, expected 4
+PASS  support minimum for n=2 band [0,1]: got 2, expected 2
+PASS  support minimum for n=2 band [0,2]: got 1, expected 1
+PASS  support minimum for n=2 band [1,1]: got 2, expected 2
+PASS  support minimum for n=2 band [1,2]: got 2, expected 2
+PASS  support minimum for n=2 band [2,2]: got 4, expected 4
+PASS  support minimum for n=3 band [0,0]: got 8, expected 8
+PASS  support minimum for n=3 band [0,1]: got 4, expected 4
+PASS  support minimum for n=3 band [0,2]: got 2, expected 2
+PASS  support minimum for n=3 band [0,3]: got 1, expected 1
+PASS  support minimum for n=3 band [1,1]: got 4, expected 4
+PASS  support minimum for n=3 band [1,2]: got 2, expected 2
+PASS  support minimum for n=3 band [1,3]: got 2, expected 2
+PASS  support minimum for n=3 band [2,2]: got 4, expected 4
+PASS  support minimum for n=3 band [2,3]: got 4, expected 4
+PASS  support minimum for n=3 band [3,3]: got 8, expected 8
+PASS  support minimum for n=4 band [0,0]: got 16, expected 16
+PASS  support minimum for n=4 band [0,1]: got 8, expected 8
+PASS  support minimum for n=4 band [0,2]: got 4, expected 4
+PASS  support minimum for n=4 band [0,3]: got 2, expected 2
+PASS  support minimum for n=4 band [0,4]: got 1, expected 1
+PASS  support minimum for n=4 band [1,1]: got 8, expected 8
+PASS  support minimum for n=4 band [1,2]: got 4, expected 4
+PASS  support minimum for n=4 band [1,3]: got 2, expected 2
+PASS  support minimum for n=4 band [1,4]: got 2, expected 2
+PASS  support minimum for n=4 band [2,2]: got 4, expected 4
+PASS  support minimum for n=4 band [2,3]: got 4, expected 4
+PASS  support minimum for n=4 band [2,4]: got 4, expected 4
+PASS  support minimum for n=4 band [3,3]: got 8, expected 8
+PASS  support minimum for n=4 band [3,4]: got 8, expected 8
+PASS  support minimum for n=4 band [4,4]: got 16, expected 16
+PASS  sign split of the 4-dim double pair is a [1]-trade: got True, expected True
+PASS  support indicator degree: got 2, expected 2
+PASS  support is an affine subspace of dimension: got 2, expected 2
+PASS  its basis has disjoint supports: got True, expected True
+PASS  parity split reproduces the sign split: got [[0, 15], [3, 12]], expected [[0, 15], [3, 12]]
+PASS  parity twist keeps the double pair's class: got True, expected True
+"""
+
+
+def test_demo_stdout_is_pinned(capsys):
+    code, out, err = run(capsys, "demo")
+    assert (code, err) == (0, "")
+    assert out == DEMO_STDOUT
+
+
 def test_demo_failure_writes_table_then_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(search, "equivalent", lambda f, g: False)
     code, out, err = run(capsys, "demo")

@@ -20,6 +20,7 @@ from cubespec import (
     equivalent,
     make_function,
     min_support,
+    min_support_all,
     min_support_exact_spectrum,
     parity_twist,
     phi,
@@ -27,6 +28,7 @@ from cubespec import (
     spectrum,
     support_size,
     tensor,
+    verify_all,
     verify_classification,
 )
 from cubespec import search
@@ -49,7 +51,7 @@ EXTENDED = os.environ.get("CUBESPEC_EXTENDED") == "1"
 SMALL_BANDS = [(n, i, j) for n in range(1, 5) for i in range(n + 1) for j in range(i, n + 1)] + [
     (5, i, j) for i in range(3) for j in range(3, 6)
 ]
-# the n = 5 bands with bound 8; TestVerifyClassification counts the nodes of those with bound 16
+# the n = 5 bands with bound 8; TestVerifyClassification::test_every_n5_band counts the nodes of all 21
 N5_BOUND_8 = [(5, i, j) for i in range(5) for j in range(i, 6) if max(1 << i, 1 << 5 - j) == 8]
 
 
@@ -195,6 +197,38 @@ class TestParityDuality:
         assert dual_scan == scan
         dual = min_support(n, n - j, n - i).witness
         assert dual.values == parity_twist(min_support(n, i, j).witness).values
+
+    # The sweeps scan each dual pair once and give every band its own rows
+    # and witness, so each report equals its single-band call, band for band.
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("sweep,single", [
+        (min_support_all, min_support), (verify_all, verify_classification),
+    ], ids=["min_support_all", "verify_all"])
+    def test_sweep_equals_the_single_band_reports(self, sweep, single, n):
+        bands = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+        assert sweep(n) == tuple(single(n, i, j) for i, j in bands)
+
+    # bands with i + j <= n: 4 of the 6 at n = 2, 9 of the 15 at n = 4
+    @pytest.mark.parametrize("n,scans", [(2, 4), (4, 9)])
+    def test_sweep_scans_each_dual_pair_once(self, monkeypatch, n, scans):
+        calls = []
+        scan_supports = search._scan_supports
+        monkeypatch.setattr(search, "_scan_supports", lambda *args: calls.append(args[:3]) or scan_supports(*args))
+        assert len(min_support_all(n)) == len(verify_all(n)) == (n + 1) * (n + 2) // 2
+        assert calls == 2 * [(n, i, j) for i in range(n + 1) for j in range(i, n - i + 1)]
+        assert len(calls) == 2 * scans
+
+    @pytest.mark.parametrize("sweep_call,message", [
+        (lambda: min_support_all(6), "beyond n=5 needs unsafe=True"),
+        (lambda: verify_all(6), "beyond n=5 needs extended=True"),
+        (lambda: verify_all(9, extended=True), "n must be an int in [0, 8], got 9"),
+        (lambda: min_support_all(25, unsafe=True), "n must be an int in [0, 24], got 25"),
+        (lambda: min_support_all("3"), "n must be an int >= 0, got '3'"),
+        (lambda: verify_all(-1), "n must be an int >= 0, got -1"),
+    ], ids=["min-n6", "verify-n6", "verify-n9", "min-n25", "min-str", "verify-negative"])
+    def test_sweep_gates_refuse_before_any_scan(self, no_scan, sweep_call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep_call()
 
 
 class TestPackedColumns:
@@ -921,15 +955,19 @@ class TestVerifyClassification:
         assert len(kernel_calls) == len(search._scan_supports(n, i, j, True, "extended")[2])
         assert slow == fast
 
-    @pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 bound-16 and -32 bands")
-    @pytest.mark.parametrize("i,j", [(0, 0), (5, 5), (1, 1), (4, 4), (0, 1), (4, 5)])
-    def test_n5_bands_with_bound_16_or_32(self, kernel_calls, i, j):
-        report = verify_classification(5, i, j)
-        assert len(kernel_calls) == 1  # check (c) held: the orbit-count path ran
-        assert report.ok, report.notes
-        assert report.min_support == max(1 << i, 1 << 5 - j)
-        assert report.nodes_examined == sharp_start_nodes(5, i, j)
-        assert len(report.classes_found) == len(enumerate_blueprints(5, i, j))
+    # All 21 n = 5 bands, the six with bound 16 or 32 among them, in one
+    # sweep that scans each dual pair once.
+    @pytest.mark.skipif(not EXTENDED, reason="set CUBESPEC_EXTENDED=1 for the n=5 band sweep")
+    def test_every_n5_band(self, kernel_calls):
+        reports = verify_all(5)
+        assert [(r.i, r.j) for r in reports] == [(i, j) for i in range(6) for j in range(i, 6)]
+        assert len(kernel_calls) == len(reports) == 21  # check (c) held on every band: one kernel each
+        for report in reports:
+            i, j = report.i, report.j
+            assert report.ok, (i, j, report.notes)
+            assert report.min_support == max(1 << i, 1 << 5 - j)
+            assert report.nodes_examined == sharp_start_nodes(5, i, j)
+            assert len(report.classes_found) == len(enumerate_blueprints(5, i, j))
 
     def test_limit_error_names_the_keyword(self):
         with pytest.raises(ValueError, match=r"beyond n=5 needs extended=True"):
